@@ -12,6 +12,7 @@ from .errors import (
     ParseError,
     ValidationError,
     ContractError,
+    BadArgument,
     NotHermitian,
     NotPositive,
     NotNormalized,

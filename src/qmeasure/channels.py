@@ -17,10 +17,22 @@ eigenbasis of the k-th eigenspace onto an arbitrary orthonormal target
 basis of the same eigenspace.  A second measurement after Theta_k still
 gives r_k with certainty, but eigenstates are no longer left invariant.
 
+Every rule is one Kraus operator per branch of the form T B*, with B the
+d x m block of stored eigenvectors of the branch and T a d x m target
+block: T = B for Lueders, the target basis for theta, and one eigenvector
+(m = 1) per branch for von Neumann.  All of them go through one kernel,
+T (B* Z B) T*, so nothing multiplies a state by a dense projector.
+
+Cost model: one branch costs O(d^2 m_k), for an outcome of multiplicity
+m_k; a Born weight Tr(B* Z B) costs the same and makes no d x d product.
+A whole aggregate or a full set of weights costs O(d^3), since the m_k
+add up to d.
+
 Outputs are never silently renormalized; use ``normalize`` explicitly.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,14 +95,38 @@ def _state_for(obs: Observable, z) -> np.ndarray:
     return m
 
 
-def born(obs: Observable, z, tol: float = DEFAULT_TOL) -> OutcomeDistribution:
-    """Outcome distribution w_k = Tr(P_k Z).
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly computed array read-only, so that the frozen state
+    wrappers take it as it is instead of copying it."""
+    a.flags.writeable = False
+    return a
 
+
+def _branch(zm: np.ndarray, src: np.ndarray, dst: np.ndarray, dst_outer) -> np.ndarray:
+    """One branch dst (src* Z src) dst*, for d x m blocks of orthonormal columns.
+
+    Costs O(d^2 m) and never multiplies Z by a d x d operator.  A simple
+    outcome (m = 1) takes the rank-1 form (v* Z v) w w*, with the caller's
+    ``dst_outer`` = w w* (unused when m > 1).  The same inputs always give
+    the same bits, which is what makes an aggregate the exact in-order sum
+    of its selective branches.
+    """
+    if src.shape[1] == 1:
+        return np.vdot(src, zm.dot(src)) * dst_outer
+    src_h = dagger(src)
+    dst_h = src_h if dst is src else dagger(dst)
+    return dst.dot(src_h.dot(zm.dot(src))).dot(dst_h)
+
+
+def born(obs: Observable, z, tol: float = DEFAULT_TOL) -> OutcomeDistribution:
+    """Outcome distribution w_k = Tr(P_k Z) = Tr(B_k* Z B_k).
+
+    Each weight is read from the outcome's basis block B_k, at O(d^2 m_k).
     Weights are clamped into [0, 1] only when they stray by at most
     ``tol``; larger excursions mean an invalid state and raise.
     """
     zm = _state_for(obs, z)
-    raw = [float(np.trace(p.projector @ zm).real) for p in obs.pairs]
+    raw = [float(np.vdot(b, zm.dot(b)).real) for b in obs.basis]
     clamped = []
     for w in raw:
         if w < -tol or w > 1.0 + tol:
@@ -112,8 +148,9 @@ def lueders_select(obs: Observable, k: int, z) -> SubensembleState:
     positive and Hermitian, and a pure input stays pure.
     """
     zm = _state_for(obs, z)
-    p = obs.pair(k).projector
-    return SubensembleState(p @ zm @ p)
+    pair = obs.pair(k)
+    b = obs.basis[k]
+    return SubensembleState(_sealed(_branch(zm, b, b, pair.projector)))
 
 
 def lueders_aggregate(obs: Observable, z) -> DensityOperator:
@@ -124,9 +161,9 @@ def lueders_aggregate(obs: Observable, z) -> DensityOperator:
     """
     zm = _state_for(obs, z)
     out = np.zeros_like(zm)
-    for pair in obs.pairs:
-        out += pair.projector @ zm @ pair.projector
-    return DensityOperator(out)
+    for pair, b in zip(obs.pairs, obs.basis):
+        out += _branch(zm, b, b, pair.projector)
+    return DensityOperator(_sealed(out))
 
 
 def normalize(state, floor: float = WEIGHT_FLOOR) -> DensityOperator:
@@ -139,7 +176,7 @@ def normalize(state, floor: float = WEIGHT_FLOOR) -> DensityOperator:
     tr = float(np.trace(m).real)
     if tr < floor:
         raise ImpossibleOutcome(f"branch weight {tr!r} is below {floor:g}")
-    return DensityOperator(m / tr)
+    return DensityOperator(_sealed(m / tr))
 
 
 def _as_block(vectors, dim: int, what: str) -> np.ndarray:
@@ -196,29 +233,32 @@ def von_neumann_aggregate(obs: Observable, z, basis_choice=None, tol: float = DE
         else _validated_blocks(obs, list(basis_choice), tol, BadBasis)
     )
     out = np.zeros_like(zm)
-    for block in blocks:
+    for pair, block in zip(obs.pairs, blocks):
         for s in range(block.shape[1]):
-            v = block[:, s]
-            weight = float(np.real(v.conj() @ zm @ v))
-            out += weight * np.outer(v, v.conj())
-    return DensityOperator(out)
+            ray = block[:, s : s + 1]
+            # the one ray of a stored simple block spans the outcome's projector
+            outer = pair.projector if basis_choice is None and pair.simple else ray.dot(dagger(ray))
+            out += _branch(zm, ray, ray, outer)
+    return DensityOperator(_sealed(out))
 
 
 @dataclass(frozen=True)
 class ThetaFamily:
     """Eigenvalue-repeatable measurement operators Theta_k, one per outcome.
 
-    Theta_k maps the stored eigenbasis of the k-th eigenspace onto a
-    target orthonormal basis of the same eigenspace, so
+    Theta_k = T_k B_k* maps the stored eigenbasis block B_k of the k-th
+    eigenspace onto the target orthonormal block T_k (``targets[k]``) of
+    the same eigenspace, so
     Theta_k* Theta_k' = Theta_k' Theta_k* = delta_kk' P_k and
-    Theta_k P_k' = delta_kk' Theta_k.
+    Theta_k P_k' = delta_kk' Theta_k.  The dense Theta_k are built on
+    first use; the channels work from the blocks.
     """
 
     observable: Observable
-    thetas: tuple
+    targets: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(freeze(np.asarray(t, dtype=complex)) for t in self.thetas))
+        object.__setattr__(self, "targets", tuple(freeze(np.asarray(t, dtype=complex)) for t in self.targets))
 
     @property
     def dim(self) -> int:
@@ -226,11 +266,26 @@ class ThetaFamily:
 
     @property
     def outcome_count(self) -> int:
-        return len(self.thetas)
+        return len(self.targets)
+
+    @cached_property
+    def thetas(self) -> tuple:
+        """The dense operators Theta_k = T_k B_k*, in outcome order."""
+        return tuple(
+            _sealed(t @ dagger(b)) for t, b in zip(self.targets, self.observable.basis)
+        )
+
+    @cached_property
+    def _rank1_outers(self) -> tuple:
+        """T_k T_k* for each simple outcome (None elsewhere), for ``_branch``."""
+        return tuple(_sealed(t.dot(dagger(t))) if t.shape[1] == 1 else None for t in self.targets)
+
+    def _check_index(self, k: int) -> None:
+        if not (0 <= k < len(self.targets)):
+            raise BadOutcomeIndex(f"outcome index {k} out of range [0, {len(self.targets) - 1}]")
 
     def theta(self, k: int) -> np.ndarray:
-        if not (0 <= k < len(self.thetas)):
-            raise BadOutcomeIndex(f"outcome index {k} out of range [0, {len(self.thetas) - 1}]")
+        self._check_index(k)
         return self.thetas[k]
 
     def residual(self) -> float:
@@ -258,10 +313,7 @@ def make_theta_family(obs: Observable, target_bases, tol: float = DEFAULT_TOL) -
     Theta_k = P_k.
     """
     blocks = _validated_blocks(obs, list(target_bases), tol, SubspaceViolation)
-    thetas = []
-    for psi_block, theta_block in zip(obs.basis, blocks):
-        thetas.append(theta_block @ dagger(psi_block))
-    return ThetaFamily(observable=obs, thetas=tuple(thetas))
+    return ThetaFamily(observable=obs, targets=tuple(blocks))
 
 
 def rotated_theta_family(obs: Observable, seed, tol: float = DEFAULT_TOL) -> ThetaFamily:
@@ -285,14 +337,15 @@ def theta_select(fam: ThetaFamily, k: int, z) -> SubensembleState:
     repeatable even though the state inside the eigenspace is rotated.
     """
     zm = _state_for(fam.observable, z)
-    t = fam.theta(k)
-    return SubensembleState(t @ zm @ dagger(t))
+    fam._check_index(k)
+    branch = _branch(zm, fam.observable.basis[k], fam.targets[k], fam._rank1_outers[k])
+    return SubensembleState(_sealed(branch))
 
 
 def theta_aggregate(fam: ThetaFamily, z) -> DensityOperator:
     """Non-selective generalized update sum_k Theta_k Z Theta_k*."""
     zm = _state_for(fam.observable, z)
     out = np.zeros_like(zm)
-    for t in fam.thetas:
-        out += t @ zm @ dagger(t)
-    return DensityOperator(out)
+    for b, t, outer in zip(fam.observable.basis, fam.targets, fam._rank1_outers):
+        out += _branch(zm, b, t, outer)
+    return DensityOperator(_sealed(out))

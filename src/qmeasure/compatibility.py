@@ -275,7 +275,12 @@ def heisenberg_observable(r: Observable, u, tol: float = DEFAULT_TOL) -> Observa
 
 @dataclass(frozen=True)
 class CompatReport:
-    """Joint verdict of both conditions and the commutator, with residuals."""
+    """Joint verdict of both conditions and the commutator, with residuals.
+
+    ``commutator_residual`` is relative to scale,
+    max|[R, S]| / (max|R| max|S|), so it does not change when R or S is
+    rescaled; the two condition residuals are scale-free already.
+    """
 
     verdict_condition1: bool
     verdict_condition2: bool
@@ -300,6 +305,16 @@ def _cross_check(name: str, results, tol: float) -> None:
             f"{name}: exact and sampled routes disagree decisively "
             f"(residuals {[res.residual for res in results]})"
         )
+
+
+def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """max|[A, B]| / (max|A| max|B|), 0 when either operator is zero.
+
+    Rescaling either observable leaves this unchanged, so the commutator
+    verdict does not depend on the units the observables are given in.
+    """
+    scale = max_abs(a) * max_abs(b)
+    return commutes(a, b).residual / scale if scale > 0 else 0.0
 
 
 def compat_report(
@@ -340,28 +355,28 @@ def compat_report(
     _cross_check("condition 2", c2_runs, cfg.tol)
     c1 = _merge(c1_runs)
     c2 = _merge(c2_runs)
-    comm = commutes(reconstruct(r), reconstruct(s), cfg.tol)
+    comm = _relative_commutator(reconstruct(r), reconstruct(s))
 
     labeled = {
         "condition1": verdict_from_residual(c1.residual, cfg.tol),
         "condition2": verdict_from_residual(c2.residual, cfg.tol),
-        "commutator": verdict_from_residual(comm.residual, cfg.tol),
+        "commutator": verdict_from_residual(comm, cfg.tol),
     }
     decisive = {v for v in labeled.values() if v != INDETERMINATE}
     if len(decisive) > 1:
         raise VerdictDisagreement(
             "three-way disagreement: "
             + ", ".join(f"{name}={verdict}" for name, verdict in labeled.items())
-            + f" (residuals c1={c1.residual:.3e}, c2={c2.residual:.3e}, comm={comm.residual:.3e})"
+            + f" (residuals c1={c1.residual:.3e}, c2={c2.residual:.3e}, comm={comm:.3e})"
         )
     witness = max((c1, c2), key=lambda res: res.residual).witness
     return CompatReport(
         verdict_condition1=c1.holds,
         verdict_condition2=c2.holds,
-        verdict_commute=comm.commute,
+        verdict_commute=comm <= cfg.tol,
         max_residual_c1=c1.residual,
         max_residual_c2=c2.residual,
-        commutator_residual=comm.residual,
+        commutator_residual=comm,
         witness=witness,
         indeterminate=tuple(name for name, v in labeled.items() if v == INDETERMINATE),
     )

@@ -15,6 +15,7 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "ContractError",
+    "BadArgument",
     "NotHermitian",
     "NotPositive",
     "NotNormalized",
@@ -58,6 +59,13 @@ class ContractError(QMeasureError):
     """An operation cannot meet its contract on otherwise valid inputs."""
 
     exit_code = 4
+
+
+class BadArgument(ValidationError, ValueError):
+    """An argument has the wrong shape, order or content for the call.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
 
 
 class NotHermitian(ValidationError):

@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NotHermitian, NotOrthonormal
+from .errors import BadArgument, DimMismatch, NoConvergence, NotHermitian, NotOrthonormal
 
 __all__ = [
     "DEFAULT_TOL",
@@ -53,16 +53,16 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
     Raises
     ------
-    ValueError
+    BadArgument
         If the array is not square, is empty, or contains NaN/inf entries.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+        raise BadArgument(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] < 1:
-        raise ValueError(f"{name} must have dim >= 1")
+        raise BadArgument(f"{name} must have dim >= 1")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise BadArgument(f"{name} contains non-finite entries")
     return a
 
 
@@ -193,9 +193,9 @@ def cluster_eigenvalues(values, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> lis
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
-        raise ValueError("values must be one-dimensional")
+        raise BadArgument("values must be one-dimensional")
     if vals.size and np.any(np.diff(vals) < 0):
-        raise ValueError("values must be sorted ascending")
+        raise BadArgument("values must be sorted ascending")
     groups: list[list[int]] = []
     current: list[int] = []
     for i, v in enumerate(vals):
@@ -220,7 +220,7 @@ def _columns(vectors) -> np.ndarray:
         return np.asarray(vectors, dtype=complex)
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not cols:
-        raise ValueError("need at least one vector")
+        raise BadArgument("need at least one vector")
     return np.column_stack(cols)
 
 

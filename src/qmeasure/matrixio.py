@@ -32,7 +32,7 @@ import re
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import BadArgument, ParseError
 
 __all__ = [
     "parse_entry",
@@ -143,7 +143,7 @@ def format_matrix(m, comment: str | None = None) -> str:
     """Render a matrix in the text format, optionally with a leading comment."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+        raise BadArgument(f"matrix must be square, got shape {a.shape}")
     lines = []
     if comment:
         lines.extend(f"# {c}" for c in comment.splitlines())

@@ -56,7 +56,11 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class SubensembleState:
-    """Unnormalized post-selection state; its trace is the selection weight."""
+    """Unnormalized post-selection state; its trace is the selection weight.
+
+    The weight is a probability, so it is floored at 0: a branch that
+    carries no weight can come out a rounding error below zero.
+    """
 
     matrix: np.ndarray
     weight: float = None  # type: ignore[assignment]  # derived from the trace
@@ -64,7 +68,7 @@ class SubensembleState:
     def __post_init__(self):
         m = freeze(np.asarray(self.matrix, dtype=complex))
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "weight", float(np.trace(m).real))
+        object.__setattr__(self, "weight", max(0.0, float(np.trace(m).real)))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)

@@ -28,7 +28,7 @@ from qmeasure.compatibility import (
 )
 from qmeasure.errors import NotPositive, NotUnitary
 from qmeasure.linalg import commutes, dagger, max_abs, random_unitary
-from qmeasure.observables import spectral_decompose
+from qmeasure.observables import reconstruct, spectral_decompose
 from qmeasure.states import from_pure, random_density
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -191,6 +191,17 @@ class TestCompatReport:
         assert not rep.verdict_commute
         assert rep.commutator_residual == pytest.approx(2.0)
         assert rep.witness is not None
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e6])
+    def test_commutator_verdict_ignores_units(self, factor):
+        # the commutator residual is relative to max|R| max|S|, so a
+        # commuting pair stays commuting whatever units R is given in
+        r, s = curated_pairs(8, 1, commuting=True, seed=3)[0]
+        rep = compat_report(spectral_decompose(factor * reconstruct(r)), s)
+        verdicts = (rep.verdict_condition1, rep.verdict_condition2, rep.verdict_commute)
+        assert verdicts == (True, True, True)
+        assert rep.commutator_residual < 1e-12
+        assert rep.indeterminate == ()
 
     def test_evolved_copy_incompatible(self):
         rep = compat_report(Z_OBS, Z_OBS, u2=HADAMARD)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qmeasure.errors import DimMismatch, NotHermitian, NotOrthonormal
+from qmeasure.errors import BadArgument, DimMismatch, NotHermitian, NotOrthonormal, QMeasureError
 from qmeasure.linalg import (
+    as_matrix,
     cluster_eigenvalues,
     commutes,
     dagger,
@@ -15,6 +16,7 @@ from qmeasure.linalg import (
     require_hermitian,
     require_same_dim,
 )
+from qmeasure.matrixio import format_matrix
 
 RNG_SEEDS = [0, 1, 2, 7, 11]
 
@@ -195,3 +197,22 @@ class TestRandomUnitary:
         a = random_unitary(3, rng)
         b = random_unitary(3, rng)
         assert max_abs(a - b) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: as_matrix(np.ones((2, 3))),
+        lambda: as_matrix(np.array([[np.nan]])),
+        lambda: cluster_eigenvalues([2.0, 1.0]),
+        lambda: cluster_eigenvalues(np.eye(2)),
+        lambda: projector_from_basis([]),
+        lambda: format_matrix(np.ones((2, 3))),
+    ],
+)
+def test_bad_arguments_are_library_errors(call):
+    # a library caller sees the same taxonomy (exit 3) as the CLI does
+    with pytest.raises(QMeasureError) as info:
+        call()
+    assert isinstance(info.value, BadArgument) and isinstance(info.value, ValueError)
+    assert info.value.exit_code == 3
