@@ -1,22 +1,26 @@
 """Compatibility of two observables: when measuring one cannot disturb the other.
 
-Two operational conditions are implemented, each in two independent ways.
+Each of the two operational conditions is one routine on per-outcome
+Kraus operators, A_k for the R-measurement and B_j for the S-measurement,
+with an exact route (an operator identity) and a sampled route (traces
+over seeded random states).  The projector checks are the instance
+A_k = P_k, B_j = Pt_j; the theta checks pass Theta_k and Phi_j.
 
 Condition 1: after selecting outcome r_k of R, an interposed S-selection
 never destroys the certainty that an immediate second R-measurement
 repeats r_k.  Exactly, this is the operator identity
-P_k Pt_j P_l Pt_j P_k = 0 for every j and every l != k; statistically it
-is Tr(Pt_j P_k Z P_k Pt_j P_l) = 0 over random states Z.
+A_k* B_j* P_l B_j A_k = 0 for every j and every l != k; statistically it
+is Tr(P_l B_j A_k Z A_k* B_j*) = 0 over random states Z.
 
 Condition 2: a non-selective R-measurement leaves every S outcome
-probability unchanged.  Exactly: sum_k P_k Pt_j P_k = Pt_j for every j;
-statistically: Tr(Pt_j Z') = Tr(Pt_j Z) over random Z, where Z' is the
-aggregate R-update of Z.
+probability unchanged.  Exactly: sum_k A_k* Pt_j A_k = Pt_j for every j;
+statistically: Tr(Pt_j Z') = Tr(Pt_j Z) over random Z, where
+Z' = sum_k A_k Z A_k* is the aggregate R-update of Z.
 
-Both conditions hold iff the two operators commute, so every checker here
-reports against the commutator as a cross-check, and a decisive
-disagreement between routes raises VerdictDisagreement (it would mean an
-implementation bug, not physics).
+Both projector conditions hold iff the two operators commute, so
+``compat_report`` runs both routes, checks them against the commutator,
+and raises VerdictDisagreement on a decisive disagreement (it would mean
+an implementation bug, not physics).
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,
 above 10*tol a clean failure, and anything between is reported as
@@ -39,6 +43,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
+    _relative_commutator,
     as_matrix,
     commutes,
     dagger,
@@ -47,9 +52,9 @@ from .linalg import (
     random_unitary,
     require_hermitian,
 )
-from .channels import ThetaFamily, make_theta_family
+from .channels import ThetaFamily, lueders_select, make_theta_family
 from .observables import Observable, SpectralPair, reconstruct, spectral_decompose
-from .states import DensityOperator, SubensembleState, state_matrix
+from .states import DensityOperator, SubensembleState
 
 __all__ = [
     "HOLDS",
@@ -102,9 +107,10 @@ class ConditionResult(NamedTuple):
     witness: Optional[Witness]
 
 
-def _check_same_dim(r: Observable, s: Observable) -> None:
+def _check_same_dim(r, s) -> None:
+    """Both operands (observables or theta families) act on one space."""
     if r.dim != s.dim:
-        raise DimMismatch(f"observable dims differ: {r.dim} vs {s.dim}")
+        raise DimMismatch(f"dims differ: {r.dim} vs {s.dim}")
 
 
 def _check_mode(mode: str) -> None:
@@ -115,13 +121,7 @@ def _check_mode(mode: str) -> None:
 def sequential_select(r: Observable, k: int, s: Observable, j: int, z) -> SubensembleState:
     """Two-step selection Pt_j P_k Z P_k Pt_j: first outcome k of R, then j of S."""
     _check_same_dim(r, s)
-    zm = state_matrix(z)
-    if zm.shape[0] != r.dim:
-        raise DimMismatch(f"state dim {zm.shape[0]} does not match observable dim {r.dim}")
-    pk = r.pair(k).projector
-    ptj = s.pair(j).projector
-    inner = pk @ zm @ pk
-    return SubensembleState(ptj @ inner @ ptj)
+    return lueders_select(s, j, lueders_select(r, k, z))
 
 
 def _random_state_batch(dim: int, samples: int, seed: int) -> np.ndarray:
@@ -141,6 +141,69 @@ def _batch_traces(batch: np.ndarray, op: np.ndarray) -> np.ndarray:
     return np.einsum("sij,ji->s", batch, op)
 
 
+def _result(worst: float, at, zs, tol: float) -> ConditionResult:
+    """Wrap the worst residual and its (state index, k, j, l) location."""
+    state = None if at is None or at[0] is None else DensityOperator(zs[at[0]])
+    witness = None if at is None else Witness(state, *at[1:])
+    return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
+
+
+def _condition1(r_ops, s_ops, readout, mode, samples, seed, tol) -> ConditionResult:
+    """Condition 1 on Kraus operators A_k (``r_ops``) and B_j (``s_ops``).
+
+    Exact mode takes the worst |A_k* B_j* P_l B_j A_k| over l != k, with
+    P_l the R projectors in ``readout``; sampled mode takes the worst
+    |Tr(P_l B_j A_k Z A_k* B_j*)| over seeded random states Z.  Triples
+    run j, then k, then l, and a later tie takes over the witness.
+    """
+    _check_mode(mode)
+    zs = _random_state_batch(len(readout[0]), samples, seed) if mode == "sampled" else None
+    worst, at = 0.0, None
+    for j, b in enumerate(s_ops):
+        for k, a in enumerate(r_ops):
+            chain = b @ a
+            chain_h = dagger(chain)
+            if zs is not None:
+                after = chain @ zs @ chain_h
+            for l, pl in enumerate(readout):
+                if l == k:
+                    continue
+                if zs is None:
+                    res, i = max_abs(chain_h @ pl @ chain), None
+                else:
+                    vals = np.abs(_batch_traces(after, pl))
+                    i = int(np.argmax(vals))
+                    res = float(vals[i])
+                if res >= worst:
+                    worst, at = res, (i, k, j, l)
+    return _result(worst, at, zs, tol)
+
+
+def _condition2(r_ops, s_projs, mode, samples, seed, tol) -> ConditionResult:
+    """Condition 2 on R's Kraus operators A_k (``r_ops``) and S's projectors.
+
+    Exact mode takes the worst |sum_k A_k* Pt_j A_k - Pt_j| over j; sampled
+    mode the worst |Tr(Pt_j (Z' - Z))| with Z' = sum_k A_k Z A_k* over
+    seeded random states Z.
+    """
+    _check_mode(mode)
+    zs = _random_state_batch(len(s_projs[0]), samples, seed) if mode == "sampled" else None
+    if zs is not None:
+        diff = sum(a @ zs @ dagger(a) for a in r_ops) - zs
+    worst, at = 0.0, None
+    for j, ptj in enumerate(s_projs):
+        if zs is None:
+            acc = sum(dagger(a) @ ptj @ a for a in r_ops)
+            res, i = max_abs(acc - ptj), None
+        else:
+            vals = np.abs(np.real(_batch_traces(diff, ptj)))
+            i = int(np.argmax(vals))
+            res = float(vals[i])
+        if res >= worst:
+            worst, at = res, (i, None, j, None)
+    return _result(worst, at, zs, tol)
+
+
 def condition1_holds(
     r: Observable,
     s: Observable,
@@ -156,35 +219,7 @@ def condition1_holds(
     states.  The worst residual and where it occurred are returned.
     """
     _check_same_dim(r, s)
-    _check_mode(mode)
-    worst = 0.0
-    witness: Optional[Witness] = None
-    if mode == "exact":
-        for j, ptj in enumerate(s.projectors):
-            for k, pk in enumerate(r.projectors):
-                left = pk @ ptj
-                for l, pl in enumerate(r.projectors):
-                    if l == k:
-                        continue
-                    res = max_abs(left @ pl @ dagger(left))
-                    if res >= worst:
-                        worst = res
-                        witness = Witness(None, k, j, l)
-    else:
-        zs = _random_state_batch(r.dim, samples, seed)
-        for j, ptj in enumerate(s.projectors):
-            for k, pk in enumerate(r.projectors):
-                chain = ptj @ pk
-                after = chain @ zs @ dagger(chain)
-                for l, pl in enumerate(r.projectors):
-                    if l == k:
-                        continue
-                    vals = np.abs(_batch_traces(after, pl))
-                    i = int(np.argmax(vals))
-                    if vals[i] >= worst:
-                        worst = float(vals[i])
-                        witness = Witness(DensityOperator(zs[i]), k, j, l)
-    return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
+    return _condition1(r.projectors, s.projectors, r.projectors, mode, samples, seed, tol)
 
 
 def condition2_holds(
@@ -201,31 +236,7 @@ def condition2_holds(
     Tr(Pt_j Z') against Tr(Pt_j Z) on seeded random states.
     """
     _check_same_dim(r, s)
-    _check_mode(mode)
-    worst = 0.0
-    witness: Optional[Witness] = None
-    if mode == "exact":
-        for j, ptj in enumerate(s.projectors):
-            acc = np.zeros_like(ptj)
-            for pk in r.projectors:
-                acc += pk @ ptj @ pk
-            res = max_abs(acc - ptj)
-            if res >= worst:
-                worst = res
-                witness = Witness(None, None, j, None)
-    else:
-        zs = _random_state_batch(r.dim, samples, seed)
-        after = np.zeros_like(zs)
-        for pk in r.projectors:
-            after += pk @ zs @ pk
-        diff = after - zs
-        for j, ptj in enumerate(s.projectors):
-            vals = np.abs(np.real(_batch_traces(diff, ptj)))
-            i = int(np.argmax(vals))
-            if vals[i] >= worst:
-                worst = float(vals[i])
-                witness = Witness(DensityOperator(zs[i]), None, j, None)
-    return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
+    return _condition2(r.projectors, s.projectors, mode, samples, seed, tol)
 
 
 def lemma_check(b, c, tol: float = DEFAULT_TOL) -> bool:
@@ -292,11 +303,6 @@ class CompatReport:
     indeterminate: tuple
 
 
-def _merge(results) -> ConditionResult:
-    worst = max(results, key=lambda res: res.residual)
-    return worst
-
-
 def _cross_check(name: str, results, tol: float) -> None:
     verdicts = {verdict_from_residual(res.residual, tol) for res in results}
     verdicts.discard(INDETERMINATE)
@@ -305,16 +311,6 @@ def _cross_check(name: str, results, tol: float) -> None:
             f"{name}: exact and sampled routes disagree decisively "
             f"(residuals {[res.residual for res in results]})"
         )
-
-
-def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
-    """max|[A, B]| / (max|A| max|B|), 0 when either operator is zero.
-
-    Rescaling either observable leaves this unchanged, so the commutator
-    verdict does not depend on the units the observables are given in.
-    """
-    scale = max_abs(a) * max_abs(b)
-    return commutes(a, b).residual / scale if scale > 0 else 0.0
 
 
 def compat_report(
@@ -353,8 +349,8 @@ def compat_report(
     ]
     _cross_check("condition 1", c1_runs, cfg.tol)
     _cross_check("condition 2", c2_runs, cfg.tol)
-    c1 = _merge(c1_runs)
-    c2 = _merge(c2_runs)
+    c1 = max(c1_runs, key=lambda res: res.residual)
+    c2 = max(c2_runs, key=lambda res: res.residual)
     comm = _relative_commutator(reconstruct(r), reconstruct(s))
 
     labeled = {
@@ -382,11 +378,6 @@ def compat_report(
     )
 
 
-def _check_family_dims(fam_r: ThetaFamily, fam_s: ThetaFamily) -> None:
-    if fam_r.dim != fam_s.dim:
-        raise DimMismatch(f"family dims differ: {fam_r.dim} vs {fam_s.dim}")
-
-
 def theta_condition1(
     fam_r: ThetaFamily,
     fam_s: ThetaFamily,
@@ -401,37 +392,10 @@ def theta_condition1(
     state passed through Phi_j Theta_k instead of Pt_j P_k.  The identity
     route checks Theta_k* Phi_j* P_l Phi_j Theta_k = 0 for l != k.
     """
-    _check_family_dims(fam_r, fam_s)
-    _check_mode(mode)
-    r_projs = fam_r.observable.projectors
-    worst = 0.0
-    witness: Optional[Witness] = None
-    if mode == "exact":
-        for j, phi in enumerate(fam_s.thetas):
-            for k, th in enumerate(fam_r.thetas):
-                chain = phi @ th
-                for l, pl in enumerate(r_projs):
-                    if l == k:
-                        continue
-                    res = max_abs(dagger(chain) @ pl @ chain)
-                    if res >= worst:
-                        worst = res
-                        witness = Witness(None, k, j, l)
-    else:
-        zs = _random_state_batch(fam_r.dim, samples, seed)
-        for j, phi in enumerate(fam_s.thetas):
-            for k, th in enumerate(fam_r.thetas):
-                chain = phi @ th
-                after = chain @ zs @ dagger(chain)
-                for l, pl in enumerate(r_projs):
-                    if l == k:
-                        continue
-                    vals = np.abs(_batch_traces(after, pl))
-                    i = int(np.argmax(vals))
-                    if vals[i] >= worst:
-                        worst = float(vals[i])
-                        witness = Witness(DensityOperator(zs[i]), k, j, l)
-    return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
+    _check_same_dim(fam_r, fam_s)
+    return _condition1(
+        fam_r.thetas, fam_s.thetas, fam_r.observable.projectors, mode, samples, seed, tol
+    )
 
 
 def theta_condition2(
@@ -447,33 +411,8 @@ def theta_condition2(
     The identity route checks sum_k Theta_k* Pt_j Theta_k = Pt_j for
     every S projector Pt_j.
     """
-    _check_family_dims(fam_r, fam_s)
-    _check_mode(mode)
-    s_projs = fam_s.observable.projectors
-    worst = 0.0
-    witness: Optional[Witness] = None
-    if mode == "exact":
-        for j, ptj in enumerate(s_projs):
-            acc = np.zeros_like(ptj)
-            for th in fam_r.thetas:
-                acc += dagger(th) @ ptj @ th
-            res = max_abs(acc - ptj)
-            if res >= worst:
-                worst = res
-                witness = Witness(None, None, j, None)
-    else:
-        zs = _random_state_batch(fam_r.dim, samples, seed)
-        after = np.zeros_like(zs)
-        for th in fam_r.thetas:
-            after += th @ zs @ dagger(th)
-        diff = after - zs
-        for j, ptj in enumerate(s_projs):
-            vals = np.abs(np.real(_batch_traces(diff, ptj)))
-            i = int(np.argmax(vals))
-            if vals[i] >= worst:
-                worst = float(vals[i])
-                witness = Witness(DensityOperator(zs[i]), None, j, None)
-    return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
+    _check_same_dim(fam_r, fam_s)
+    return _condition2(fam_r.thetas, fam_s.observable.projectors, mode, samples, seed, tol)
 
 
 def sector_rotated_family(

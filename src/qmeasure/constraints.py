@@ -24,7 +24,7 @@ from .errors import (
     DimMismatch,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, commutes, dagger, eig_hermitian, freeze, max_abs
+from .linalg import DEFAULT_TOL, _relative_commutator, as_matrix, commutes, dagger, eig_hermitian, freeze, max_abs
 from .channels import lueders_select
 from .observables import Observable, reconstruct
 from .states import DensityOperator, random_density, state_matrix
@@ -132,8 +132,9 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     """May r be measured on the constrained system?
 
     True iff every projector of r commutes with every constraint.  The
-    full operator commutator [R, N] is checked as well; the two routes
-    must agree, and the conjunction is returned.
+    full operator commutator [R, N] is checked as well, relative to
+    max|R| max|N| so that the units of r do not matter; the conjunction
+    of the two routes is returned.
     """
     ops = _operators(n)
     for op in ops:
@@ -144,7 +145,7 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     for op in ops:
         for p in r.projectors:
             verdict = verdict and commutes(p, op, tol).commute
-        verdict = verdict and commutes(full, op, tol).commute
+        verdict = verdict and _relative_commutator(full, op) <= tol
     return verdict
 
 

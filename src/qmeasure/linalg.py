@@ -187,30 +187,27 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
 def cluster_eigenvalues(values, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[list[int]]:
     """Group an ascending list of eigenvalues into numerically equal clusters.
 
-    Consecutive values whose gap is at most ``cluster_tol * max(1, |value|)``
-    land in the same group.  The returned groups are disjoint, cover every
-    index, and preserve order.
+    Consecutive values whose gap is at most
+    ``cluster_tol * max(1, max|values|)`` land in the same group, one
+    threshold for the whole spectrum, so rescaling a spectrum whose
+    largest magnitude is at least 1 leaves its clusters as they are.  The
+    returned groups are disjoint, cover every index, and preserve order.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise BadArgument("values must be one-dimensional")
-    if vals.size and np.any(np.diff(vals) < 0):
+    if not vals.size:
+        return []
+    gaps = np.diff(vals)
+    if np.any(gaps < 0):
         raise BadArgument("values must be sorted ascending")
-    groups: list[list[int]] = []
-    current: list[int] = []
-    for i, v in enumerate(vals):
-        if not current:
-            current = [i]
-            continue
-        gap = v - vals[current[-1]]
-        scale = max(1.0, abs(v), abs(vals[current[-1]]))
-        if gap <= cluster_tol * scale:
-            current.append(i)
+    gap_tol = cluster_tol * max(1.0, float(np.max(np.abs(vals))))
+    groups = [[0]]
+    for i, gap in enumerate(gaps, start=1):
+        if gap <= gap_tol:
+            groups[-1].append(i)
         else:
-            groups.append(current)
-            current = [i]
-    if current:
-        groups.append(current)
+            groups.append([i])
     return groups
 
 
@@ -258,6 +255,16 @@ def commutes(a, b, tol: float = DEFAULT_TOL) -> CommutationResult:
     require_same_dim(am, bm)
     residual = max_abs(am @ bm - bm @ am)
     return CommutationResult(residual <= tol, residual)
+
+
+def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """max|[A, B]| / (max|A| max|B|), 0 when either operator is zero.
+
+    Rescaling either operator leaves this unchanged, so a verdict judged
+    on it does not depend on the units the operators are given in.
+    """
+    scale = max_abs(a) * max_abs(b)
+    return commutes(a, b).residual / scale if scale > 0 else 0.0
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

@@ -7,13 +7,14 @@ import numpy as np
 from .errors import (
     BadRank,
     DimMismatch,
+    NoConvergence,
     NotHermitian,
     NotNormalized,
     NotPositive,
     WeightSum,
     ZeroVector,
 )
-from .linalg import DEFAULT_TOL, as_matrix, dagger, eig_hermitian, freeze, max_abs
+from .linalg import DEFAULT_TOL, as_matrix, dagger, freeze, max_abs
 
 __all__ = [
     "DensityOperator",
@@ -136,12 +137,15 @@ def validate(z, tol: float = DEFAULT_TOL) -> DensityOperator:
     or NotNormalized (with the trace).  Positivity is judged by the
     eigenvalue floor so the violation magnitude is part of the error.
     """
-    m = state_matrix(z)
+    # as_matrix also covers wrapped states, which state_matrix passes through unchecked
+    m = as_matrix(state_matrix(z), "state")
     dev = max_abs(m - dagger(m))
     if dev > tol:
         raise NotHermitian(f"state deviates from its adjoint by {dev:.3e}")
-    eigsys = eig_hermitian(m, tol)
-    lowest = float(eigsys.values[0])
+    try:
+        lowest = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
     if lowest < -tol:
         raise NotPositive(f"most negative eigenvalue {lowest!r}")
     tr = float(np.trace(m).real)

@@ -9,6 +9,8 @@ from qmeasure.channels import (
     make_theta_family,
     normalize,
     rotated_theta_family,
+    theta_aggregate,
+    theta_select,
 )
 from qmeasure.compatibility import (
     FAILS,
@@ -26,7 +28,7 @@ from qmeasure.compatibility import (
     theta_condition2,
     verdict_from_residual,
 )
-from qmeasure.errors import NotPositive, NotUnitary
+from qmeasure.errors import NotPositive, NotUnitary, ValidationError
 from qmeasure.linalg import commutes, dagger, max_abs, random_unitary
 from qmeasure.observables import reconstruct, spectral_decompose
 from qmeasure.states import from_pure, random_density
@@ -296,3 +298,93 @@ class TestSymmetry:
         for r, s in curated_pairs(dim, 3, commuting=commuting, seed=dim):
             assert condition1_holds(r, s).holds == condition1_holds(s, r).holds
             assert condition2_holds(r, s).holds == condition2_holds(s, r).holds
+
+
+# Z/X and a non-commuting curated pair at d=6 (with a degenerate outcome),
+# each with theta families whose targets are rotated inside every eigenspace
+WITNESS_PAIRS = [(Z_OBS, X_OBS), curated_pairs(6, 1, commuting=False, seed=6)[0]]
+
+
+def _trace(op, state):
+    return np.trace(op @ np.asarray(state)).real
+
+
+class TestSampledWitness:
+    """The reported witness reproduces the residual through the public channels."""
+
+    @pytest.mark.parametrize("pair", range(len(WITNESS_PAIRS)))
+    def test_condition1_projector(self, pair):
+        r, s = WITNESS_PAIRS[pair]
+        res = condition1_holds(r, s, "sampled", samples=30, seed=pair)
+        w = res.witness
+        assert not res.holds and w.l != w.k
+        branch = sequential_select(r, w.k, s, w.j, w.state)
+        assert abs(_trace(r.projectors[w.l], branch)) == pytest.approx(res.residual, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", range(len(WITNESS_PAIRS)))
+    def test_condition1_theta(self, pair):
+        r, s = WITNESS_PAIRS[pair]
+        fam_r, fam_s = rotated_theta_family(r, 10 + pair), rotated_theta_family(s, 20 + pair)
+        res = theta_condition1(fam_r, fam_s, "sampled", samples=30, seed=pair)
+        w = res.witness
+        assert not res.holds and w.l != w.k
+        branch = theta_select(fam_s, w.j, theta_select(fam_r, w.k, w.state))
+        assert abs(_trace(r.projectors[w.l], branch)) == pytest.approx(res.residual, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", range(len(WITNESS_PAIRS)))
+    def test_condition2_projector(self, pair):
+        r, s = WITNESS_PAIRS[pair]
+        res = condition2_holds(r, s, "sampled", samples=30, seed=pair)
+        w = res.witness
+        assert not res.holds and w.k is None and w.l is None
+        shift = np.asarray(lueders_aggregate(r, w.state)) - np.asarray(w.state)
+        assert abs(_trace(s.projectors[w.j], shift)) == pytest.approx(res.residual, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", range(len(WITNESS_PAIRS)))
+    def test_condition2_theta(self, pair):
+        r, s = WITNESS_PAIRS[pair]
+        fam_r, fam_s = rotated_theta_family(r, 10 + pair), rotated_theta_family(s, 20 + pair)
+        res = theta_condition2(fam_r, fam_s, "sampled", samples=30, seed=pair)
+        w = res.witness
+        assert not res.holds and w.k is None and w.l is None
+        shift = np.asarray(theta_aggregate(fam_r, w.state)) - np.asarray(w.state)
+        assert abs(_trace(s.projectors[w.j], shift)) == pytest.approx(res.residual, abs=1e-12)
+
+    def test_witness_is_worst_over_every_triple(self):
+        r, s = WITNESS_PAIRS[1]
+        res = condition1_holds(r, s, "sampled", samples=30, seed=1)
+        z = np.asarray(res.witness.state)
+        worst = max(
+            abs(_trace(r.projectors[l], sequential_select(r, k, s, j, z)))
+            for j in range(s.outcome_count)
+            for k in range(r.outcome_count)
+            for l in range(r.outcome_count)
+            if l != k
+        )
+        assert worst == pytest.approx(res.residual, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "check, family",
+    [
+        (condition1_holds, False),
+        (condition2_holds, False),
+        (theta_condition1, True),
+        (theta_condition2, True),
+    ],
+)
+def test_unknown_mode_rejected(check, family):
+    r, s = (make_theta_family(o, o.basis) for o in (Z_OBS, X_OBS)) if family else (Z_OBS, X_OBS)
+    with pytest.raises(ValidationError):
+        check(r, s, "fuzzy")
+
+
+@pytest.mark.parametrize("seed", [6, 16])
+def test_verdicts_survive_rescaling_by_1e8(seed):
+    # R's zero eigenvalues come out as rounding noise of about 1e-8 at this
+    # scale; clustered against the whole spectrum they stay one outcome
+    r, s = curated_pairs(8, 1, commuting=True, seed=seed)[0]
+    big = spectral_decompose(1e8 * reconstruct(r))
+    assert big.outcome_count == r.outcome_count
+    rep = compat_report(big, s)
+    assert (rep.verdict_condition1, rep.verdict_condition2, rep.verdict_commute) == (True, True, True)

@@ -96,6 +96,18 @@ class TestMeasurable:
         obs = spectral_decompose(swap_like)
         assert not measurable_under(obs, N_SYM)
 
+    def test_verdict_ignores_units(self):
+        # [R, N] is judged relative to max|R| max|N|: at 1e8 its absolute
+        # rounding residual (about 9e-8) would otherwise block R
+        n = make_exchange_constraint(3, symmetric=True)
+        swap = np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        h = (g + dagger(g)) / 2.0
+        sym_part = (h + swap @ h @ swap) / 2.0
+        assert measurable_under(spectral_decompose(sym_part), n)
+        assert measurable_under(spectral_decompose(1e8 * sym_part), n)
+
 
 class TestPreservation:
     @pytest.mark.parametrize("seed", range(5))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmeasure.errors import BadArgument, DimMismatch, NotHermitian, NotOrthonormal, QMeasureError
 from qmeasure.linalg import (
@@ -119,6 +120,32 @@ class TestCluster:
     def test_requires_ascending(self):
         with pytest.raises(ValueError):
             cluster_eigenvalues([2.0, 1.0], 1e-9)
+
+
+@st.composite
+def spectra(draw):
+    """(ascending values with max|v| >= 1, cluster_tol): clusters of small
+    steps around centres spread over [-top, top], one of them at an end,
+    with every gap at most half the threshold or at least twice it."""
+    cluster_tol = draw(st.sampled_from([1e-9, 1e-6]))
+    top = draw(st.floats(1.0, 1e6))
+    centres = [draw(st.sampled_from([-1.0, 1.0])), *draw(st.lists(st.floats(-1.0, 1.0), max_size=4))]
+    values = []
+    for centre in centres:
+        steps = draw(st.lists(st.floats(0.0, 0.5), max_size=3))
+        values.extend(centre * top + np.cumsum([0.0, *steps]) * cluster_tol * top)
+    values = np.sort(values)
+    threshold = cluster_tol * np.max(np.abs(values))
+    gaps = np.diff(values)
+    assume(np.all((gaps <= threshold / 2) | (gaps >= 2 * threshold)))
+    return values, cluster_tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spectra(), st.floats(1.0, 1e6))
+def test_clusters_survive_rescaling(spectrum, factor):
+    values, cluster_tol = spectrum
+    assert cluster_eigenvalues(factor * values, cluster_tol) == cluster_eigenvalues(values, cluster_tol)
 
 
 class TestProjector:

@@ -5,6 +5,7 @@ import pytest
 
 from qmeasure.errors import (
     DimMismatch,
+    NoConvergence,
     NotHermitian,
     NotNormalized,
     NotPositive,
@@ -106,6 +107,14 @@ class TestValidate:
     def test_rejects_wrong_trace(self):
         with pytest.raises(NotNormalized):
             validate(np.diag([0.6, 0.6]))
+
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergence):
+            validate(np.eye(2) / 2.0)
 
     def test_tolerance_is_respected(self):
         validate(np.diag([1.0 + 5e-10, -2e-10]), tol=1e-9)
