@@ -3,8 +3,11 @@
 Each of the two operational conditions is one routine on per-outcome
 Kraus operators, A_k for the R-measurement and B_j for the S-measurement,
 with an exact route (an operator identity) and a sampled route (traces
-over seeded random states).  The projector checks are the instance
-A_k = P_k, B_j = Pt_j; the theta checks pass Theta_k and Phi_j.
+over seeded random states).  The operators come as basis blocks,
+A_k = T_k V_k* with V_k R's eigenbasis block and T_k its target block,
+and B_j = U_j W_j* alike.  The projector checks are the instance
+T_k = V_k (A_k = P_k, B_j = Pt_j); the theta checks pass the target
+blocks of Theta_k and Phi_j.
 
 Condition 1: after selecting outcome r_k of R, an interposed S-selection
 never destroys the certainty that an immediate second R-measurement
@@ -21,6 +24,15 @@ Both projector conditions hold iff the two operators commute, so
 ``compat_report`` runs both routes, checks them against the commutator,
 and raises VerdictDisagreement on a decisive disagreement (it would mean
 an implementation bug, not physics).
+
+Cost.  Neither routine forms a dense Kraus product.  They work in R's
+eigenbasis V, where one overlap N_j = (V* U_j)(W_j* T) per S outcome
+holds every (k, l) block of condition 1, and condition 2 becomes a block
+mask.  An exact route costs O(K_S d^3).  A sampled route costs
+O(samples d^3) for the rotation V* Z V of the state batch, plus, for
+condition 1, O(samples K_S K_R sum m_k^2) over R's degenerate outcomes
+of multiplicity m_k; that stays within O(samples d^3) unless one large
+eigenspace sits among many small ones.
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,
 above 10*tol a clean failure, and anything between is reported as
@@ -82,6 +94,10 @@ INDETERMINATE = "indeterminate"
 
 _MODES = ("exact", "sampled")
 
+# complex entries the batched condition-1 products hold at once, small
+# enough to stay in cache
+_CHUNK = 1 << 16
+
 
 def verdict_from_residual(residual: float, tol: float) -> str:
     if residual < tol / 10.0:
@@ -136,9 +152,10 @@ def _random_state_batch(dim: int, samples: int, seed: int) -> np.ndarray:
     return zs / traces[:, None, None]
 
 
-def _batch_traces(batch: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Tr(batch[i] @ op) for every state in the batch."""
-    return np.einsum("sij,ji->s", batch, op)
+def _states(mode: str, dim: int, samples: int, seed: int) -> Optional[np.ndarray]:
+    """The seeded state batch of sampled mode; None in exact mode."""
+    _check_mode(mode)
+    return _random_state_batch(dim, samples, seed) if mode == "sampled" else None
 
 
 def _result(worst: float, at, zs, tol: float) -> ConditionResult:
@@ -148,60 +165,136 @@ def _result(worst: float, at, zs, tol: float) -> ConditionResult:
     return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
 
 
-def _condition1(r_ops, s_ops, readout, mode, samples, seed, tol) -> ConditionResult:
-    """Condition 1 on Kraus operators A_k (``r_ops``) and B_j (``s_ops``).
+def _last_max(res: np.ndarray) -> tuple:
+    """Index of the last maximal entry in C order: the scan order, where a later tie wins."""
+    flat = np.flatnonzero(res == res.max())[-1]
+    return tuple(int(i) for i in np.unravel_index(flat, res.shape))
 
-    Exact mode takes the worst |A_k* B_j* P_l B_j A_k| over l != k, with
-    P_l the R projectors in ``readout``; sampled mode takes the worst
-    |Tr(P_l B_j A_k Z A_k* B_j*)| over seeded random states Z.  Triples
+
+def _offsets(basis) -> np.ndarray:
+    """First column of each basis block in the blocks laid side by side."""
+    return np.cumsum([0] + [b.shape[1] for b in basis[:-1]])
+
+
+def _multiplicity_groups(basis) -> list:
+    """(m, outcomes of multiplicity m, their columns as an (n, m) array) per m."""
+    groups = {}
+    for k, (lo, b) in enumerate(zip(_offsets(basis), basis)):
+        ks, cols = groups.setdefault(b.shape[1], ([], []))
+        ks.append(k)
+        cols.append(range(lo, lo + b.shape[1]))
+    return [(m, np.array(ks), np.array(cols)) for m, (ks, cols) in sorted(groups.items())]
+
+
+def _condition1(r_basis, r_targets, s_basis, s_targets, zs, tol) -> ConditionResult:
+    """Condition 1 on A_k = T_k V_k* and B_j = U_j W_j*, given as basis blocks.
+
+    V_k, T_k are ``r_basis[k]``, ``r_targets[k]`` and W_j, U_j are
+    ``s_basis[j]``, ``s_targets[j]``; the readout projectors are
+    P_l = V_l V_l*.  Exact mode (``zs`` None) takes the worst
+    |A_k* B_j* P_l B_j A_k| over l != k; sampled mode the worst
+    |Tr(P_l B_j A_k Z A_k* B_j*)| over the states Z in ``zs``.  Triples
     run j, then k, then l, and a later tie takes over the witness.
+
+    Everything comes from N_j = (V* U_j)(W_j* T), whose (l, k) block X is
+    V_l* B_j T_k.  The exact operator is V_k X* X V_k*, positive
+    semidefinite, so its max-abs entry is its largest diagonal entry,
+    max_a sum_{r in l} |(N_j[:, k] V_k*)[r, a]|^2.  The sampled trace is
+    Tr(Zr_kk X* X) with Zr = V* Z V.  For a rank-1 outcome both collapse
+    to |X|^2 times max_a |V[a, k]|^2 or Zr_kk.  S outcomes of one
+    multiplicity and R outcomes of one multiplicity are batched.
     """
-    _check_mode(mode)
-    zs = _random_state_batch(len(readout[0]), samples, seed) if mode == "sampled" else None
-    worst, at = 0.0, None
-    for j, b in enumerate(s_ops):
-        for k, a in enumerate(r_ops):
-            chain = b @ a
-            chain_h = dagger(chain)
-            if zs is not None:
-                after = chain @ zs @ chain_h
-            for l, pl in enumerate(readout):
-                if l == k:
+    d, kr = len(r_basis[0]), len(r_basis)
+    v = np.hstack(r_basis)
+    vh = dagger(v)
+    starts = _offsets(r_basis)
+    vu = vh @ np.hstack(s_targets)
+    wt = dagger(np.hstack(s_basis)) @ np.hstack(r_targets)
+    if zs is None:
+        peak, best = np.max(np.abs(v) ** 2, axis=0), np.zeros(d, dtype=int)
+    else:
+        zr = vh @ zs @ v
+        diag = np.real(np.diagonal(zr, axis1=1, axis2=2))
+        peak, best = diag.max(axis=0), diag.argmax(axis=0)
+    # per R multiplicity m > 1, the factor that meets the blocks N_j[:, k]:
+    # V_k* (exact) or Zr_kk flattened (sampled); per_j counts the entries
+    # one S outcome's products hold
+    groups, per_j = [], d * d
+    for m, ks, cols in _multiplicity_groups(r_basis):
+        other = None
+        if m > 1 and zs is None:
+            other = vh[cols]
+            per_j += len(ks) * d * d
+        elif m > 1:
+            zkk = zr[:, cols[:, :, None], cols[:, None, :]]
+            other = np.moveaxis(zkk, 0, 1).reshape(len(ks), len(zs), m * m)
+            per_j += len(ks) * (d * m * m + len(zs) * kr)
+        groups.append((m, ks, cols, other))
+    res = np.empty((len(s_basis), kr, kr))
+    state = np.zeros(res.shape, dtype=int)
+    for _, js, s_cols in _multiplicity_groups(s_basis):
+        parts = min(len(js), -(-len(js) * per_j // _CHUNK))
+        for part in np.array_split(np.arange(len(js)), parts):
+            n = np.moveaxis(vu[:, s_cols[part]], 1, 0) @ wt[s_cols[part]]
+            # |N_j|^2 summed over the rows of each l block (one row each when R is simple)
+            rows = np.abs(n) ** 2
+            if kr < d:
+                rows = np.add.reduceat(rows, starts, axis=1)
+            for m, ks, cols, other in groups:
+                at = np.ix_(js[part], ks)
+                if m == 1:
+                    c = cols[:, 0]
+                    res[at] = np.swapaxes(rows[:, :, c] * peak[c], 1, 2)
+                    state[at] = best[c, None]
                     continue
+                y = np.moveaxis(n[:, :, cols], 2, 1)
                 if zs is None:
-                    res, i = max_abs(chain_h @ pl @ chain), None
-                else:
-                    vals = np.abs(_batch_traces(after, pl))
-                    i = int(np.argmax(vals))
-                    res = float(vals[i])
-                if res >= worst:
-                    worst, at = res, (i, k, j, l)
-    return _result(worst, at, zs, tol)
+                    res[at] = np.add.reduceat(np.abs(y @ other) ** 2, starts, axis=2).max(axis=3)
+                    continue
+                grams = np.add.reduceat(y[..., None, :] * y.conj()[..., :, None], starts, axis=2)
+                flat = np.swapaxes(grams, -1, -2).reshape(*grams.shape[:3], m * m)
+                traces = np.abs(np.real(other @ np.swapaxes(flat, -1, -2)))
+                res[at], state[at] = traces.max(axis=2), traces.argmax(axis=2)
+    if kr < 2:
+        return _result(0.0, None, zs, tol)
+    res[:, np.arange(kr), np.arange(kr)] = -1.0
+    j, k, l = _last_max(res)
+    i = None if zs is None else int(state[j, k, l])
+    return _result(float(res[j, k, l]), (i, k, j, l), zs, tol)
 
 
-def _condition2(r_ops, s_projs, mode, samples, seed, tol) -> ConditionResult:
-    """Condition 2 on R's Kraus operators A_k (``r_ops``) and S's projectors.
+def _condition2(r_basis, r_targets, s_basis, zs, tol) -> ConditionResult:
+    """Condition 2 on A_k = T_k V_k* and S's projectors Pt_j = W_j W_j*.
 
-    Exact mode takes the worst |sum_k A_k* Pt_j A_k - Pt_j| over j; sampled
-    mode the worst |Tr(Pt_j (Z' - Z))| with Z' = sum_k A_k Z A_k* over
-    seeded random states Z.
+    Exact mode (``zs`` None) takes the worst |sum_k A_k* Pt_j A_k - Pt_j|
+    over j, where the sum is V blockmask(T* Pt_j T) V*; sampled mode the
+    worst |Tr(Pt_j (Z' - Z))| over the states Z in ``zs``, where
+    Z' = sum_k A_k Z A_k* is T blockmask(V* Z V) T*.
     """
-    _check_mode(mode)
-    zs = _random_state_batch(len(s_projs[0]), samples, seed) if mode == "sampled" else None
-    if zs is not None:
-        diff = sum(a @ zs @ dagger(a) for a in r_ops) - zs
-    worst, at = 0.0, None
-    for j, ptj in enumerate(s_projs):
-        if zs is None:
-            acc = sum(dagger(a) @ ptj @ a for a in r_ops)
-            res, i = max_abs(acc - ptj), None
-        else:
-            vals = np.abs(np.real(_batch_traces(diff, ptj)))
-            i = int(np.argmax(vals))
-            res = float(vals[i])
-        if res >= worst:
-            worst, at = res, (i, None, j, None)
-    return _result(worst, at, zs, tol)
+    v, t = np.hstack(r_basis), np.hstack(r_targets)
+    mask = np.zeros((len(v),) * 2, dtype=bool)
+    for lo, b in zip(_offsets(r_basis), r_basis):
+        mask[lo : lo + b.shape[1], lo : lo + b.shape[1]] = True
+    projs = [w @ dagger(w) for w in s_basis]
+    if zs is None:
+        wt = dagger(np.hstack(s_basis)) @ t
+        res = []
+        for lo, w, ptj in zip(_offsets(s_basis), s_basis, projs):
+            c = wt[lo : lo + w.shape[1]]
+            res.append(max_abs(v @ ((dagger(c) @ c) * mask) @ dagger(v) - ptj))
+        res, state = np.array(res), None
+    else:
+        zr = dagger(v) @ zs @ v
+        zr *= mask
+        diff = t @ zr @ dagger(t)
+        diff -= zs
+        # Tr(Pt_j D) = sum_ab Pt_j[b, a] D[a, b], one product for every j
+        flat = np.stack(projs).transpose(0, 2, 1).reshape(len(projs), -1)
+        traces = np.abs(np.real(diff.reshape(len(zs), -1) @ flat.T))
+        res, state = traces.max(axis=0), traces.argmax(axis=0)
+    (j,) = _last_max(res)
+    i = None if zs is None else int(state[j])
+    return _result(float(res[j]), (i, None, j, None), zs, tol)
 
 
 def condition1_holds(
@@ -219,7 +312,8 @@ def condition1_holds(
     states.  The worst residual and where it occurred are returned.
     """
     _check_same_dim(r, s)
-    return _condition1(r.projectors, s.projectors, r.projectors, mode, samples, seed, tol)
+    zs = _states(mode, r.dim, samples, seed)
+    return _condition1(r.basis, r.basis, s.basis, s.basis, zs, tol)
 
 
 def condition2_holds(
@@ -236,7 +330,7 @@ def condition2_holds(
     Tr(Pt_j Z') against Tr(Pt_j Z) on seeded random states.
     """
     _check_same_dim(r, s)
-    return _condition2(r.projectors, s.projectors, mode, samples, seed, tol)
+    return _condition2(r.basis, r.basis, s.basis, _states(mode, r.dim, samples, seed), tol)
 
 
 def lemma_check(b, c, tol: float = DEFAULT_TOL) -> bool:
@@ -338,15 +432,12 @@ def compat_report(
     if u2 is not None:
         s = heisenberg_observable(s, u2, cfg.tol)
     _check_same_dim(r, s)
-    modes = _MODES if mode == "both" else (mode,)
-    c1_runs = [
-        condition1_holds(r, s, m, samples=cfg.samples, seed=cfg.seed, tol=cfg.tol)
-        for m in modes
-    ]
-    c2_runs = [
-        condition2_holds(r, s, m, samples=cfg.samples, seed=cfg.seed, tol=cfg.tol)
-        for m in modes
-    ]
+    c1_runs, c2_runs = [], []
+    for m in _MODES if mode == "both" else (mode,):
+        # one state batch per mode, shared by both conditions
+        zs = _states(m, r.dim, cfg.samples, cfg.seed)
+        c1_runs.append(_condition1(r.basis, r.basis, s.basis, s.basis, zs, cfg.tol))
+        c2_runs.append(_condition2(r.basis, r.basis, s.basis, zs, cfg.tol))
     _cross_check("condition 1", c1_runs, cfg.tol)
     _cross_check("condition 2", c2_runs, cfg.tol)
     c1 = max(c1_runs, key=lambda res: res.residual)
@@ -393,8 +484,9 @@ def theta_condition1(
     route checks Theta_k* Phi_j* P_l Phi_j Theta_k = 0 for l != k.
     """
     _check_same_dim(fam_r, fam_s)
+    zs = _states(mode, fam_r.dim, samples, seed)
     return _condition1(
-        fam_r.thetas, fam_s.thetas, fam_r.observable.projectors, mode, samples, seed, tol
+        fam_r.observable.basis, fam_r.targets, fam_s.observable.basis, fam_s.targets, zs, tol
     )
 
 
@@ -412,7 +504,8 @@ def theta_condition2(
     every S projector Pt_j.
     """
     _check_same_dim(fam_r, fam_s)
-    return _condition2(fam_r.thetas, fam_s.observable.projectors, mode, samples, seed, tol)
+    zs = _states(mode, fam_r.dim, samples, seed)
+    return _condition2(fam_r.observable.basis, fam_r.targets, fam_s.observable.basis, zs, tol)
 
 
 def sector_rotated_family(

@@ -24,7 +24,7 @@ from .errors import (
     DimMismatch,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, _relative_commutator, as_matrix, commutes, dagger, eig_hermitian, freeze, max_abs
+from .linalg import DEFAULT_TOL, _relative_commutator, as_matrix, dagger, eig_hermitian, freeze, max_abs
 from .channels import lueders_select
 from .observables import Observable, reconstruct
 from .states import DensityOperator, random_density, state_matrix
@@ -61,7 +61,8 @@ class Constraint:
 class ConstraintSet:
     """Several constraints imposed together.
 
-    Members must commute pairwise; a set whose members disagree about a
+    Members must commute pairwise, judged relative to scale,
+    max|[A, B]| / (max|A| max|B|); a set whose members disagree about a
     common eigenbasis is rejected outright rather than applied.
     """
 
@@ -76,11 +77,11 @@ class ConstraintSet:
             raise DimMismatch(f"constraint dims differ: {sorted(dims)}")
         for i, a in enumerate(members):
             for j in range(i + 1, len(members)):
-                check = commutes(a.operator, members[j].operator, tol)
-                if not check.commute:
+                residual = _relative_commutator(a.operator, members[j].operator)
+                if residual > tol:
                     raise ValidationError(
                         f"constraints {a.label!r} and {members[j].label!r} do not "
-                        f"commute (residual {check.residual:.3e})"
+                        f"commute (relative residual {residual:.3e})"
                     )
         self.members = members
 
@@ -132,9 +133,10 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     """May r be measured on the constrained system?
 
     True iff every projector of r commutes with every constraint.  The
-    full operator commutator [R, N] is checked as well, relative to
-    max|R| max|N| so that the units of r do not matter; the conjunction
-    of the two routes is returned.
+    full operator commutator [R, N] is checked as well, and the
+    conjunction of the two routes is returned.  Every commutator is
+    judged relative to scale, max|[A, N]| / (max|A| max|N|), so the
+    units of r and of N do not matter.
     """
     ops = _operators(n)
     for op in ops:
@@ -144,7 +146,7 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     verdict = True
     for op in ops:
         for p in r.projectors:
-            verdict = verdict and commutes(p, op, tol).commute
+            verdict = verdict and _relative_commutator(p, op) <= tol
         verdict = verdict and _relative_commutator(full, op) <= tol
     return verdict
 

@@ -1,0 +1,175 @@
+"""Properties of the eigenbasis routes of the two compatibility conditions.
+
+The conditions are computed from basis blocks; these checks hold all four
+checks, in both modes, against the dense formulas they replace: the
+(j, k, l) loop over dense Kraus products A_k, B_j and projectors P_l.
+Pairs run over dimensions 2-16, simple, degenerate and mixed spectra,
+commuting and non-commuting.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qmeasure.channels import make_theta_family, rotated_theta_family
+from qmeasure.compatibility import (
+    _random_state_batch,
+    condition1_holds,
+    condition2_holds,
+    sector_rotated_family,
+    theta_condition1,
+    theta_condition2,
+    verdict_from_residual,
+)
+from qmeasure.linalg import DEFAULT_TOL, dagger, max_abs, random_unitary
+from qmeasure.observables import spectral_decompose
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+SAMPLES = 20
+SEED = 3
+
+
+def _spectrum(kind, dim, rng):
+    if kind == "simple":
+        # gaps of at least 0.5 keep every eigenvalue its own outcome
+        return np.arange(dim) + rng.uniform(0.0, 0.5, dim)
+    span = 2 if kind == "degenerate" else 5
+    return rng.integers(-span, span + 1, dim).astype(float)
+
+
+@st.composite
+def pairs(draw):
+    """(R, S, theta family of R, theta family of S) from drawn sizes."""
+    dim = draw(st.integers(2, 16))
+    kinds = st.sampled_from(["simple", "degenerate", "mixed"])
+    kind_r, kind_s = draw(kinds), draw(kinds)
+    commuting = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(dim, rng)
+    u_s = u if commuting else random_unitary(dim, rng)
+    r = spectral_decompose(u @ np.diag(_spectrum(kind_r, dim, rng)) @ dagger(u))
+    s = spectral_decompose(u_s @ np.diag(_spectrum(kind_s, dim, rng)) @ dagger(u_s))
+    if commuting:
+        fam_r, fam_s = sector_rotated_family(r, s, rng), sector_rotated_family(s, r, rng)
+    else:
+        fam_r, fam_s = rotated_theta_family(r, rng), rotated_theta_family(s, rng)
+    return r, s, fam_r, fam_s
+
+
+def _dense_condition1(r_ops, s_ops, readout, zs):
+    """Worst |A_k* B_j* P_l B_j A_k| (exact) or |Tr(P_l B_j A_k Z A_k* B_j*)|."""
+    worst = 0.0
+    for b in s_ops:
+        for k, a in enumerate(r_ops):
+            chain = b @ a
+            chain_h = dagger(chain)
+            if zs is not None:
+                after = chain @ zs @ chain_h
+            for l, pl in enumerate(readout):
+                if l == k:
+                    continue
+                if zs is None:
+                    res = max_abs(chain_h @ pl @ chain)
+                else:
+                    res = float(np.max(np.abs(np.einsum("sij,ji->s", after, pl))))
+                worst = max(worst, res)
+    return worst
+
+
+def _dense_condition2(r_ops, s_projs, zs):
+    """Worst |sum_k A_k* Pt_j A_k - Pt_j| (exact) or |Tr(Pt_j (Z' - Z))|."""
+    if zs is not None:
+        diff = sum(a @ zs @ dagger(a) for a in r_ops) - zs
+    worst = 0.0
+    for ptj in s_projs:
+        if zs is None:
+            res = max_abs(sum(dagger(a) @ ptj @ a for a in r_ops) - ptj)
+        else:
+            res = float(np.max(np.abs(np.real(np.einsum("sij,ji->s", diff, ptj)))))
+        worst = max(worst, res)
+    return worst
+
+
+def _checks(r, s, fam_r, fam_s):
+    """(name, run in a mode, A_k, B_j or None for condition 2) per check."""
+    return [
+        ("condition1", lambda m: condition1_holds(r, s, m, SAMPLES, SEED), r.projectors, s.projectors),
+        ("condition2", lambda m: condition2_holds(r, s, m, SAMPLES, SEED), r.projectors, None),
+        ("theta1", lambda m: theta_condition1(fam_r, fam_s, m, SAMPLES, SEED), fam_r.thetas, fam_s.thetas),
+        ("theta2", lambda m: theta_condition2(fam_r, fam_s, m, SAMPLES, SEED), fam_r.thetas, None),
+    ]
+
+
+def _dense(r_ops, s_ops, r, s, zs):
+    if s_ops is None:
+        return _dense_condition2(r_ops, s.projectors, zs)
+    return _dense_condition1(r_ops, s_ops, r.projectors, zs)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@PROPERTY
+@given(pair=pairs())
+def test_residual_and_verdict_match_dense_reference(mode, pair):
+    r, s, fam_r, fam_s = pair
+    zs = _random_state_batch(r.dim, SAMPLES, SEED) if mode == "sampled" else None
+    for name, check, r_ops, s_ops in _checks(r, s, fam_r, fam_s):
+        got = check(mode)
+        want = _dense(r_ops, s_ops, r, s, zs)
+        assert abs(got.residual - want) <= 1e-12, name
+        assert got.verdict == verdict_from_residual(want, DEFAULT_TOL), name
+
+
+@PROPERTY
+@given(pair=pairs())
+def test_exact_witness_reproduces_residual(pair):
+    r, s, fam_r, fam_s = pair
+    for name, check, r_ops, s_ops in _checks(r, s, fam_r, fam_s):
+        res = check("exact")
+        w = res.witness
+        if w is None:
+            # a one-outcome R has no pair l != k to disturb
+            assert r.outcome_count == 1 and res.residual == 0.0
+            continue
+        assert w.state is None
+        if s_ops is None:
+            ptj = s.projectors[w.j]
+            at = max_abs(sum(dagger(a) @ ptj @ a for a in r_ops) - ptj)
+        else:
+            chain = s_ops[w.j] @ r_ops[w.k]
+            at = max_abs(dagger(chain) @ r.projectors[w.l] @ chain)
+            assert w.l != w.k
+        assert abs(at - res.residual) <= 1e-12, name
+
+
+@PROPERTY
+@given(pair=pairs())
+def test_sampled_witness_reproduces_residual(pair):
+    r, s, fam_r, fam_s = pair
+    for name, check, r_ops, s_ops in _checks(r, s, fam_r, fam_s):
+        res = check("sampled")
+        w = res.witness
+        if w is None:
+            assert r.outcome_count == 1 and res.residual == 0.0
+            continue
+        z = np.asarray(w.state)
+        if s_ops is None:
+            shift = sum(a @ z @ dagger(a) for a in r_ops) - z
+            at = abs(np.trace(s.projectors[w.j] @ shift).real)
+        else:
+            chain = s_ops[w.j] @ r_ops[w.k]
+            at = abs(np.trace(r.projectors[w.l] @ chain @ z @ dagger(chain)))
+        assert abs(at - res.residual) <= 1e-12, name
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_tie_goes_to_the_last_triple(mode):
+    # diagonal 0/1 projectors make every residual exactly zero, so every
+    # triple ties and the scan order (j, then k, then l) decides
+    r = spectral_decompose(np.diag([1.0, 2.0, 2.0]))
+    s = spectral_decompose(np.diag([5.0, 5.0, 7.0]))
+    fam_r, fam_s = (make_theta_family(o, o.basis) for o in (r, s))
+    for name, check, _, s_ops in _checks(r, s, fam_r, fam_s):
+        res = check(mode)
+        assert res.residual == 0.0, name
+        want = (None, 1, None) if s_ops is None else (1, 1, 0)
+        assert (res.witness.k, res.witness.j, res.witness.l) == want, name

@@ -32,6 +32,20 @@ SINGLET = from_pure(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
 TRIPLET0 = from_pure(np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0))
 
 
+def _symmetric_qutrit_pair():
+    """The two-qutrit exchange constraint and a seeded swap-symmetric observable."""
+    n = make_exchange_constraint(3, symmetric=True)
+    swap = np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    h = (g + dagger(g)) / 2.0
+    return n, (h + swap @ h @ swap) / 2.0
+
+
+# sigma_z-like observable on the first qutrit only: not exchange-symmetric
+R_ONE_QUTRITS = spectral_decompose(np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(3)))
+
+
 class TestExchangeConstraint:
     def test_symmetric_is_singlet_projector(self):
         np.testing.assert_allclose(N_SYM.operator, SINGLET.matrix, atol=1e-14)
@@ -99,14 +113,18 @@ class TestMeasurable:
     def test_verdict_ignores_units(self):
         # [R, N] is judged relative to max|R| max|N|: at 1e8 its absolute
         # rounding residual (about 9e-8) would otherwise block R
-        n = make_exchange_constraint(3, symmetric=True)
-        swap = np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]
-        rng = np.random.default_rng(7)
-        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        h = (g + dagger(g)) / 2.0
-        sym_part = (h + swap @ h @ swap) / 2.0
+        n, sym_part = _symmetric_qutrit_pair()
         assert measurable_under(spectral_decompose(sym_part), n)
         assert measurable_under(spectral_decompose(1e8 * sym_part), n)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_verdict_ignores_units_of_the_constraint(self, scale):
+        # each [P_k, cN] is judged relative to max|P_k| max|cN|; on an
+        # absolute scale its rounding residual (5.5e-9 at 1e6) blocks R
+        n, sym_part = _symmetric_qutrit_pair()
+        obs = spectral_decompose(sym_part)
+        assert measurable_under(obs, Constraint(scale * n.operator))
+        assert not measurable_under(R_ONE_QUTRITS, Constraint(scale * n.operator))
 
 
 class TestPreservation:
@@ -195,6 +213,20 @@ class TestConstraintSet:
     def test_set_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             ConstraintSet([N_SYM, Constraint(np.zeros((2, 2)))])
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_commuting_members_accepted_at_any_scale(self, scale):
+        # on an absolute scale the members' rounding residual rejects the set
+        n, sym_part = _symmetric_qutrit_pair()
+        ns = ConstraintSet([Constraint(scale * n.operator), Constraint(scale * sym_part)])
+        assert len(ns) == 2
+
+    def test_tiny_non_commuting_members_rejected(self):
+        # max|[A, B]| is 2e-12 here, far below tol; relative to scale it is 2
+        a = Constraint(1e-6 * np.diag([1.0, -1.0]))
+        b = Constraint(1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValidationError):
+            ConstraintSet([a, b])
 
     def test_measurability_postulate_on_set(self):
         both = ConstraintSet([N_SYM, Constraint(np.eye(4) - 2 * N_SYM.operator)])
