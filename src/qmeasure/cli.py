@@ -38,7 +38,7 @@ from .constraints import (
     preserves_constraint,
     random_constrained_density,
 )
-from .errors import NotHermitian, ParseError, QMeasureError, ValidationError
+from .errors import BadArgument, NotHermitian, ParseError, QMeasureError, ValidationError
 from .linalg import DEFAULT_CLUSTER_TOL, DEFAULT_TOL
 from .matrixio import format_matrix, read_matrix, read_observable_file
 from .observables import Observable, observable_from_pairs, spectral_decompose
@@ -174,6 +174,8 @@ def cmd_compat(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_constraint(args, cfg: RunConfig, out) -> int:
+    if args.random is not None and args.random < 1:
+        raise BadArgument(f"random must be at least 1, got {args.random}")
     if args.exchange:
         constraint = make_exchange_constraint(args.localdim, symmetric=args.exchange == "sym")
     else:
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     state_group.add_argument("--random", type=int, default=None, help="number of random constrained states")
     p.set_defaults(func=cmd_constraint)
 
-    p = sub.add_parser("demo", parents=[common], allow_abbrev=False, help="run every built-in worked example, printing PASS/FAIL")
+    p = sub.add_parser("demo", parents=[common], allow_abbrev=False, help="replay the worked examples as an install check, printing PASS/FAIL")
     p.set_defaults(func=cmd_demo)
 
     return parser

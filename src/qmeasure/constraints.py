@@ -145,9 +145,10 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     full = reconstruct(r)
     verdict = True
     for op in ops:
+        op_norm = max_abs(op)
         for p in r.projectors:
-            verdict = verdict and _relative_commutator(p, op) <= tol
-        verdict = verdict and _relative_commutator(full, op) <= tol
+            verdict = verdict and _relative_commutator(p, op, op_norm) <= tol
+        verdict = verdict and _relative_commutator(full, op, op_norm) <= tol
     return verdict
 
 

@@ -1,15 +1,14 @@
-"""Scripted walkthrough: every built-in worked example, one PASS/FAIL line each.
+"""Install smoke test: replay the paper's worked examples, one PASS/FAIL line each.
 
-The demo doubles as a regression surface: each item recomputes a small
-result whose expected value was worked out independently (by hand, by a
-diagonal read-off, or by an explicit product) and checks it at the run
-tolerance.  Output is deterministic for a fixed configuration, so two
-runs can be compared byte for byte.
+Every row of ``_ROWS`` recomputes one worked example and returns
+``(got, want)``, with ``want`` worked out by hand.  Either side is a
+number, a boolean, an array or a tuple of them; both are flattened to
+one complex vector and compared with a single max-abs check at the run
+tolerance, so verdicts count as 0/1.  The regression suite is
+``tests/``; the demo only shows that an installed copy reproduces the
+paper's numbers.  Output is deterministic for a fixed configuration, so
+two runs can be compared byte for byte.
 """
-
-import io
-import os
-import tempfile
 
 import numpy as np
 
@@ -19,902 +18,188 @@ from .channels import (
     lueders_select,
     make_theta_family,
     normalize,
-    rotated_theta_family,
-    theta_aggregate,
     theta_select,
     von_neumann_aggregate,
 )
 from .compatibility import (
     compat_report,
-    condition1_holds,
-    condition2_holds,
     curated_pairs,
-    heisenberg_observable,
-    lemma_check,
     sector_rotated_family,
-    sequential_select,
     theta_condition1,
     theta_condition2,
 )
 from .config import RunConfig
 from .constraints import (
-    Constraint,
     make_exchange_constraint,
     measurable_under,
     preserves_constraint,
     random_constrained_density,
-    satisfies,
 )
-from .errors import (
-    NotNormalized,
-    NotPositive,
-    QMeasureError,
-    SubspaceViolation,
-)
-from .linalg import (
-    cluster_eigenvalues,
-    commutes,
-    dagger,
-    eig_hermitian,
-    max_abs,
-    projector_from_basis,
-)
-from .matrixio import parse_matrix, write_matrix
-from .observables import (
-    is_function_refinement,
-    observable_from_pairs,
-    reconstruct,
-    spectral_decompose,
-)
-from .states import from_pure, mix, random_density, validate
+from .errors import QMeasureError
+from .linalg import max_abs
+from .matrixio import format_matrix, parse_matrix
+from .observables import spectral_decompose
+from .states import from_pure, random_density
 
 __all__ = ["run_demo"]
 
-
-def _close(actual, expected, tol):
-    res = max_abs(np.asarray(actual, dtype=complex) - np.asarray(expected, dtype=complex))
-    return res <= tol, f"residual {res!r}"
-
-
-def _near(actual, expected, tol):
-    res = abs(float(actual) - float(expected))
-    return res <= tol, f"|{actual!r} - {expected!r}| = {res!r}"
-
-
-def _expect(fn, exc_type):
-    try:
-        fn()
-    except exc_type:
-        return True, ""
-    except QMeasureError as exc:
-        return False, f"wrong error {type(exc).__name__}: {exc}"
-    return False, f"expected {exc_type.__name__}, nothing raised"
+_S = 1 / np.sqrt(2.0)
+_D225 = np.diag([2.0, 2.0, 5.0])
+_Z = np.diag([1.0, -1.0])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_HADAMARD = np.array([[_S, _S], [_S, -_S]])
+# the uniform superposition of three levels, and (e1 + e2)/sqrt2 as a state
+_PSI3 = from_pure(np.ones(3))
+_PLUS_PLANE = from_pure([1.0, 1.0, 0.0]).matrix
 
 
-def _all(*parts):
-    for ok, detail in parts:
-        if not ok:
-            return False, detail
-    return True, ""
+def _observable(m, cfg: RunConfig):
+    return spectral_decompose(m, cfg.cluster_tol, cfg.tol)
 
 
-_SQ2 = np.sqrt(2.0)
+def _verdicts(report) -> tuple:
+    return report.verdict_condition1, report.verdict_condition2, report.verdict_commute
 
 
-def _linalg_checks(cfg: RunConfig):
-    tol = cfg.tol
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-
-    def eig_identity():
-        sys2 = eig_hermitian(np.eye(2), tol)
-        return _all(
-            _close(sys2.values, [1.0, 1.0], tol),
-            _close(sys2.vectors, np.eye(2), tol),
-        )
-
-    def eig_sx():
-        sys2 = eig_hermitian(sx, tol)
-        want = np.column_stack([[1 / _SQ2, -1 / _SQ2], [1 / _SQ2, 1 / _SQ2]])
-        return _all(
-            _close(sys2.values, [-1.0, 1.0], tol),
-            _close(sys2.vectors, want, tol),
-        )
-
-    def eig_degenerate_diag():
-        sys3 = eig_hermitian(np.diag([5.0, 2.0, 2.0]), tol)
-        return _close(sys3.values, [2.0, 2.0, 5.0], tol)
-
-    def cluster_distinct():
-        got = cluster_eigenvalues([1.0, 2.0, 3.0], 1e-9)
-        return got == [[0], [1], [2]], f"got {got}"
-
-    def cluster_close_pair():
-        got = cluster_eigenvalues([1.0, 1.0 + 1e-12, 3.0], 1e-9)
-        return got == [[0, 1], [2]], f"got {got}"
-
-    def cluster_singleton():
-        got = cluster_eigenvalues([7.0], 1e-9)
-        return got == [[0]], f"got {got}"
-
-    def projector_e1():
-        return _close(projector_from_basis(np.eye(2)[:, :1], tol), np.diag([1.0, 0.0]), tol)
-
-    def projector_e1e2():
-        return _close(projector_from_basis(np.eye(3)[:, :2], tol), np.diag([1.0, 1.0, 0.0]), tol)
-
-    def projector_plus():
-        v = np.array([[1.0], [1.0]]) / _SQ2
-        return _close(projector_from_basis(v, tol), np.full((2, 2), 0.5), tol)
-
-    def commutes_diagonal():
-        got = commutes(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), tol)
-        return got.commute and got.residual == 0.0, f"got {got}"
-
-    def commutes_pauli():
-        got = commutes(sx, np.diag([1.0, -1.0]), tol)
-        return _all(
-            (not got.commute, "claimed commuting"),
-            _near(got.residual, 2.0, tol),
-        )
-
-    def commutes_identity():
-        got = commutes(np.array([[1, 2j], [5, 0.5]]), np.eye(2), tol)
-        return got.commute, f"residual {got.residual!r}"
-
-    return [
-        ("linalg/eig-identity-standard-basis", eig_identity),
-        ("linalg/eig-symmetric-flip", eig_sx),
-        ("linalg/eig-degenerate-diagonal", eig_degenerate_diag),
-        ("linalg/cluster-all-distinct", cluster_distinct),
-        ("linalg/cluster-merges-close-pair", cluster_close_pair),
-        ("linalg/cluster-singleton", cluster_singleton),
-        ("linalg/projector-coordinate", projector_e1),
-        ("linalg/projector-coordinate-plane", projector_e1e2),
-        ("linalg/projector-superposition", projector_plus),
-        ("linalg/commutes-diagonals", commutes_diagonal),
-        ("linalg/commutes-flip-vs-diag", commutes_pauli),
-        ("linalg/commutes-with-identity", commutes_identity),
-    ]
+def _decompose_degenerate(cfg):
+    obs = _observable(_D225, cfg)
+    got = (obs.eigenvalues, obs.multiplicities, obs.projectors)
+    return got, ([2.0, 5.0], [2, 1], [np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
 
 
-def _states_checks(cfg: RunConfig):
-    tol = cfg.tol
-    plus = from_pure(np.array([1.0, 1.0]) / _SQ2)
-
-    def pure_e1():
-        return _close(from_pure([1.0, 0.0]).matrix, np.diag([1.0, 0.0]), tol)
-
-    def pure_plus():
-        return _close(plus.matrix, np.full((2, 2), 0.5), tol)
-
-    def pure_unnormalized():
-        return _close(from_pure([2.0, 0.0]).matrix, np.diag([1.0, 0.0]), tol)
-
-    def mix_singleton():
-        z = random_density(3, 2, cfg.seed)
-        return _close(mix([(1.0, z)]).matrix, z.matrix, tol)
-
-    def mix_coin():
-        got = mix([(0.5, from_pure([1.0, 0.0])), (0.5, from_pure([0.0, 1.0]))])
-        return _close(got.matrix, np.diag([0.5, 0.5]), tol)
-
-    def mix_weighted():
-        got = mix([(0.25, plus), (0.75, from_pure([1.0, 0.0]))])
-        want = np.array([[0.875, 0.125], [0.125, 0.125]])
-        return _close(got.matrix, want, tol)
-
-    def random_dim1():
-        return _close(random_density(1, 1, cfg.seed).matrix, [[1.0]], tol)
-
-    def random_rank1_pure():
-        return _near(random_density(4, 1, 7).purity(), 1.0, 1e-10)
-
-    def random_full_rank_trace():
-        return _near(random_density(4, 4, 7).trace, 1.0, 1e-12)
-
-    def validate_ok():
-        validate(np.diag([0.5, 0.5]), tol)
-        return True, ""
-
-    def validate_negative():
-        return _expect(lambda: validate(np.diag([1.5, -0.5]), tol), NotPositive)
-
-    def validate_trace():
-        return _expect(lambda: validate(np.diag([0.6, 0.6]), tol), NotNormalized)
-
-    return [
-        ("states/pure-coordinate", pure_e1),
-        ("states/pure-superposition", pure_plus),
-        ("states/pure-absorbs-normalization", pure_unnormalized),
-        ("states/mix-singleton", mix_singleton),
-        ("states/mix-classical-coin", mix_coin),
-        ("states/mix-weighted-sum", mix_weighted),
-        ("states/random-dim-one", random_dim1),
-        ("states/random-rank1-is-pure", random_rank1_pure),
-        ("states/random-full-rank-trace", random_full_rank_trace),
-        ("states/validate-accepts-mixed", validate_ok),
-        ("states/validate-rejects-negative", validate_negative),
-        ("states/validate-rejects-trace", validate_trace),
-    ]
+def _born_weights(cfg):
+    return born(_observable(_D225, cfg), _PSI3, cfg.tol).probabilities, (2 / 3, 1 / 3)
 
 
-def _observables_checks(cfg: RunConfig):
-    tol = cfg.tol
-    ctol = cfg.cluster_tol
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-
-    def decompose_identity():
-        obs = spectral_decompose(np.eye(3), ctol, tol)
-        return _all(
-            (len(obs.pairs) == 1, f"{len(obs.pairs)} pairs"),
-            _near(obs.pairs[0].eigenvalue, 1.0, tol),
-            (obs.pairs[0].multiplicity == 3, "wrong multiplicity"),
-            _close(obs.pairs[0].projector, np.eye(3), tol),
-        )
-
-    def decompose_diag_z():
-        obs = spectral_decompose(np.diag([1.0, -1.0]), ctol, tol)
-        return _all(
-            _close([p.eigenvalue for p in obs.pairs], [-1.0, 1.0], tol),
-            _close(obs.pairs[0].projector, np.diag([0.0, 1.0]), tol),
-            _close(obs.pairs[1].projector, np.diag([1.0, 0.0]), tol),
-        )
-
-    def decompose_degenerate():
-        obs = spectral_decompose(np.diag([2.0, 2.0, 5.0]), ctol, tol)
-        return _all(
-            ([p.multiplicity for p in obs.pairs] == [2, 1], "wrong multiplicities"),
-            _close([p.eigenvalue for p in obs.pairs], [2.0, 5.0], tol),
-            _close(obs.pairs[0].projector, np.diag([1.0, 1.0, 0.0]), tol),
-            _close(obs.pairs[1].projector, np.diag([0.0, 0.0, 1.0]), tol),
-        )
-
-    def reconstruct_identity():
-        obs = observable_from_pairs([(1.0, np.eye(2))], tol)
-        return _close(reconstruct(obs), np.eye(2), tol)
-
-    def reconstruct_flip():
-        return _close(reconstruct(spectral_decompose(sx, ctol, tol)), sx, tol)
-
-    def reconstruct_diagonal():
-        obs = observable_from_pairs(
-            [(2.0, np.diag([1.0, 1.0, 0.0])), (5.0, np.diag([0.0, 0.0, 1.0]))], tol
-        )
-        return _close(reconstruct(obs), np.diag([2.0, 2.0, 5.0]), tol)
-
-    def refinement_true():
-        fine = spectral_decompose(np.diag([1.0, 2.0, 3.0]), ctol, tol)
-        coarse = spectral_decompose(np.diag([1.0, 1.0, 3.0]), ctol, tol)
-        return is_function_refinement(fine, coarse, tol), "expected refinement"
-
-    def refinement_false():
-        fine = spectral_decompose(np.diag([1.0, 1.0, 3.0]), ctol, tol)
-        coarse = spectral_decompose(np.diag([1.0, 2.0, 3.0]), ctol, tol)
-        return not is_function_refinement(fine, coarse, tol), "claimed refinement"
-
-    def refinement_identity():
-        fine = spectral_decompose(np.diag([2.0, 2.0, 5.0]), ctol, tol)
-        coarse = spectral_decompose(np.eye(3), ctol, tol)
-        return is_function_refinement(fine, coarse, tol), "identity should be coarsest"
-
-    return [
-        ("observables/decompose-identity", decompose_identity),
-        ("observables/decompose-two-level", decompose_diag_z),
-        ("observables/decompose-degenerate-diagonal", decompose_degenerate),
-        ("observables/reconstruct-identity", reconstruct_identity),
-        ("observables/reconstruct-flip-roundtrip", reconstruct_flip),
-        ("observables/reconstruct-degenerate-diagonal", reconstruct_diagonal),
-        ("observables/refinement-merged-eigenvalues", refinement_true),
-        ("observables/refinement-rejects-splitting", refinement_false),
-        ("observables/refinement-identity-coarsest", refinement_identity),
-    ]
+def _lueders_select(cfg):
+    # the branch keeps the coherent e1/e2 part of psi, so normalized it is pure
+    sel = lueders_select(_observable(_D225, cfg), 0, _PSI3)
+    return (sel.matrix, normalize(sel).purity()), (2 / 3 * _PLUS_PLANE, 1.0)
 
 
-def _channels_checks(cfg: RunConfig):
-    tol = cfg.tol
-    ctol = cfg.cluster_tol
-    plus = from_pure(np.array([1.0, 1.0]) / _SQ2)
-    z_obs = spectral_decompose(np.diag([1.0, -1.0]), ctol, tol)
-    id2 = spectral_decompose(np.eye(2), ctol, tol)
-    obs225 = spectral_decompose(np.diag([2.0, 2.0, 5.0]), ctol, tol)
-    psi3 = from_pure(np.ones(3) / np.sqrt(3.0))
-    block_third = np.array(
-        [[1 / 3, 1 / 3, 0], [1 / 3, 1 / 3, 0], [0, 0, 0]], dtype=complex
+def _lueders_aggregate(cfg):
+    agg = lueders_aggregate(_observable(_D225, cfg), _PSI3)
+    return agg.matrix, np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) / 3
+
+
+def _von_neumann_overmixes(cfg):
+    # one ray per basis vector dephases inside the degenerate block as well
+    vn = von_neumann_aggregate(_observable(_D225, cfg), _PSI3, tol=cfg.tol)
+    return (vn.matrix, vn.purity()), (np.eye(3) / 3, 1 / 3)
+
+
+def _von_neumann_simple(cfg):
+    # on a simple spectrum every eigenspace is one ray, so the rules agree
+    obs = _observable(_X, cfg)
+    z = random_density(2, 2, cfg.seed)
+    return von_neumann_aggregate(obs, z, tol=cfg.tol).matrix, lueders_aggregate(obs, z).matrix
+
+
+def _theta_repeats_eigenvalue(cfg):
+    # Theta_0 sends e1 to (e1 + e2)/sqrt2 inside the eigenspace of 2: the
+    # eigenvalue repeats with certainty, but the eigenstate e1 moves
+    obs = _observable(_D225, cfg)
+    targets = [np.array([[_S, _S], [_S, -_S], [0.0, 0.0]]), np.eye(3)[:, 2:]]
+    fam = make_theta_family(obs, targets, cfg.tol)
+    moved = theta_select(fam, 0, from_pure([1.0, 0.0, 0.0]))
+    again = born(obs, normalize(theta_select(fam, 0, _PSI3)), cfg.tol)
+    return (moved.matrix, again.probabilities), (_PLUS_PLANE, (1.0, 0.0))
+
+
+def _conjugate_pair(cfg):
+    rep = compat_report(_observable(_Z, cfg), _observable(_X, cfg), config=cfg)
+    return _verdicts(rep) + (rep.commutator_residual,), (False, False, False, 2.0)
+
+
+def _commuting_pair(cfg):
+    # sigma_z on the first qubit against sigma_x on the second
+    r = _observable(np.kron(_Z, np.eye(2)), cfg)
+    s = _observable(np.kron(np.eye(2), _X), cfg)
+    return _verdicts(compat_report(r, s, config=cfg)), (True, True, True)
+
+
+def _evolved_copy(cfg):
+    # Z measured again after a Hadamard evolution is X in disguise
+    z = _observable(_Z, cfg)
+    return _verdicts(compat_report(z, z, u2=_HADAMARD, config=cfg)), (False, False, False)
+
+
+def _theta_sector_rotations(cfg):
+    # targets rotated only inside joint eigenspaces keep both conditions
+    r, s = curated_pairs(4, 1, commuting=True, seed=cfg.seed)[0]
+    rng = np.random.default_rng(cfg.seed + 1)
+    fam_r = sector_rotated_family(r, s, rng, cfg.tol)
+    fam_s = sector_rotated_family(s, r, rng, cfg.tol)
+    got = tuple(
+        check(fam_r, fam_s, mode, cfg.samples, cfg.seed, cfg.tol).holds
+        for check in (theta_condition1, theta_condition2)
+        for mode in ("exact", "sampled")
     )
-    rotated_targets = [
-        np.column_stack([[1 / _SQ2, 1 / _SQ2, 0.0], [1 / _SQ2, -1 / _SQ2, 0.0]]),
-        np.array([[0.0], [0.0], [1.0]]),
-    ]
-
-    def born_identity():
-        z = random_density(2, 2, cfg.seed)
-        dist = born(id2, z, tol)
-        return _all(
-            (len(dist) == 1, f"{len(dist)} outcomes"),
-            _near(dist.probability(0), 1.0, tol),
-        )
-
-    def born_plus():
-        dist = born(z_obs, plus, tol)
-        return _all(
-            _near(dist.probability(0), 0.5, tol),
-            _near(dist.probability(1), 0.5, tol),
-        )
-
-    def born_degenerate():
-        dist = born(obs225, psi3, tol)
-        return _all(
-            _near(dist.probability(0), 2 / 3, tol),
-            _near(dist.probability(1), 1 / 3, tol),
-        )
-
-    def select_identity():
-        z = random_density(2, 2, cfg.seed)
-        return _close(lueders_select(id2, 0, z).matrix, z.matrix, tol)
-
-    def select_degenerate_block():
-        sel = lueders_select(obs225, 0, psi3)
-        return _all(
-            _close(sel.matrix, block_third, tol),
-            _near(sel.weight, 2 / 3, tol),
-            _close(normalize(sel).matrix, from_pure([1.0, 1.0, 0.0]).matrix, tol),
-            _near(normalize(sel).purity(), 1.0, tol),
-        )
-
-    def select_simple_eigenvalue():
-        sel = lueders_select(z_obs, 1, plus)
-        p1 = z_obs.pairs[1].projector
-        via_weight = p1 * float(np.trace(p1 @ plus.matrix).real)
-        return _all(
-            _close(sel.matrix, np.diag([0.5, 0.0]), tol),
-            _close(sel.matrix, via_weight, tol),
-        )
-
-    def aggregate_identity():
-        z = random_density(2, 2, cfg.seed)
-        return _close(lueders_aggregate(id2, z).matrix, z.matrix, tol)
-
-    def aggregate_dephase():
-        return _close(lueders_aggregate(z_obs, plus).matrix, np.diag([0.5, 0.5]), tol)
-
-    def aggregate_degenerate():
-        want = np.array([[1 / 3, 1 / 3, 0], [1 / 3, 1 / 3, 0], [0, 0, 1 / 3]])
-        return _close(lueders_aggregate(obs225, psi3).matrix, want, tol)
-
-    def von_neumann_simple_case():
-        obs = spectral_decompose(np.array([[0, 1], [1, 0]], dtype=complex), ctol, tol)
-        z = random_density(2, 2, cfg.seed)
-        return _close(
-            von_neumann_aggregate(obs, z, tol=tol).matrix,
-            lueders_aggregate(obs, z).matrix,
-            tol,
-        )
-
-    def von_neumann_degenerate():
-        got = von_neumann_aggregate(obs225, psi3, tol=tol)
-        return _close(got.matrix, np.diag([1 / 3, 1 / 3, 1 / 3]), tol)
-
-    def von_neumann_disturbs_identity():
-        got = von_neumann_aggregate(id2, plus, tol=tol)
-        return _all(
-            _close(got.matrix, np.diag([0.5, 0.5]), tol),
-            (max_abs(got.matrix - plus.matrix) > 0.4, "no disturbance seen"),
-        )
-
-    def theta_reduces_to_projectors():
-        fam = make_theta_family(obs225, obs225.basis, tol)
-        worst = max(
-            max_abs(t - p.projector) for t, p in zip(fam.thetas, obs225.pairs)
-        )
-        return worst <= tol, f"residual {worst!r}"
-
-    def theta_rotated_block():
-        fam = make_theta_family(obs225, rotated_targets, tol)
-        want = np.zeros((3, 3), dtype=complex)
-        want[0, 0] = want[0, 1] = want[1, 0] = 1 / _SQ2
-        want[1, 1] = -1 / _SQ2
-        return _all(
-            _close(fam.theta(0), want, tol),
-            _close(dagger(fam.theta(0)) @ fam.theta(0), np.diag([1.0, 1.0, 0.0]), tol),
-            (fam.residual() <= tol, f"family residual {fam.residual()!r}"),
-        )
-
-    def theta_rejects_outside_vector():
-        bad = [
-            np.column_stack([[1 / _SQ2, 0.0, 1 / _SQ2], [0.0, 1.0, 0.0]]),
-            np.array([[0.0], [0.0], [1.0]]),
-        ]
-        return _expect(lambda: make_theta_family(obs225, bad, tol), SubspaceViolation)
-
-    def theta_matches_plain_channel():
-        fam = make_theta_family(obs225, obs225.basis, tol)
-        return _all(
-            _close(theta_select(fam, 0, psi3).matrix, lueders_select(obs225, 0, psi3).matrix, tol),
-            _close(theta_aggregate(fam, psi3).matrix, lueders_aggregate(obs225, psi3).matrix, tol),
-        )
-
-    def theta_moves_eigenstate():
-        fam = make_theta_family(obs225, rotated_targets, tol)
-        z = from_pure([1.0, 0.0, 0.0])
-        sel = theta_select(fam, 0, z)
-        return _all(
-            _near(sel.weight, 1.0, tol),
-            _close(sel.matrix, from_pure([1.0, 1.0, 0.0]).matrix, tol),
-            (max_abs(sel.matrix - z.matrix) > 0.4, "eigenstate left invariant"),
-        )
-
-    def theta_repeats_eigenvalue():
-        fam = make_theta_family(obs225, rotated_targets, tol)
-        again = born(obs225, normalize(theta_select(fam, 0, psi3)), tol)
-        return _near(again.probability(0), 1.0, tol)
-
-    return [
-        ("channels/born-identity-reveals-nothing", born_identity),
-        ("channels/born-balanced-superposition", born_plus),
-        ("channels/born-degenerate-weights", born_degenerate),
-        ("channels/select-identity-undisturbed", select_identity),
-        ("channels/select-degenerate-stays-pure", select_degenerate_block),
-        ("channels/select-simple-eigenvalue-formula", select_simple_eigenvalue),
-        ("channels/aggregate-identity", aggregate_identity),
-        ("channels/aggregate-dephases", aggregate_dephase),
-        ("channels/aggregate-degenerate-blocks", aggregate_degenerate),
-        ("channels/degeneracy-free-rules-agree", von_neumann_simple_case),
-        ("channels/basis-rule-overmixes", von_neumann_degenerate),
-        ("channels/basis-rule-disturbs-identity", von_neumann_disturbs_identity),
-        ("channels/theta-family-projector-reduction", theta_reduces_to_projectors),
-        ("channels/theta-rotated-block", theta_rotated_block),
-        ("channels/theta-rejects-outside-subspace", theta_rejects_outside_vector),
-        ("channels/theta-reduction-matches-channel", theta_matches_plain_channel),
-        ("channels/theta-rotates-eigenstate", theta_moves_eigenstate),
-        ("channels/theta-repeats-eigenvalue", theta_repeats_eigenvalue),
-    ]
-
-
-def _compatibility_checks(cfg: RunConfig):
-    tol = cfg.tol
-    ctol = cfg.cluster_tol
-    z_obs = spectral_decompose(np.diag([1.0, -1.0]), ctol, tol)
-    x_obs = spectral_decompose(np.array([[0, 1], [1, 0]], dtype=complex), ctol, tol)
-    obs225 = spectral_decompose(np.diag([2.0, 2.0, 5.0]), ctol, tol)
-    ground = from_pure([1.0, 0.0])
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
-    r4 = spectral_decompose(np.diag([1.0, 1.0, -1.0, -1.0]), ctol, tol)
-    s4_matrix = np.kron(np.eye(2), np.array([[0, 1], [1, 0]])).astype(complex)
-    s4 = spectral_decompose(s4_matrix, ctol, tol)
-
-    def seq_matches_single():
-        z = random_density(3, 3, cfg.seed)
-        got = sequential_select(obs225, 0, obs225, 0, z)
-        return _close(got.matrix, lueders_select(obs225, 0, z).matrix, tol)
-
-    def seq_two_step_weights():
-        first = sequential_select(z_obs, 1, x_obs, 1, ground)
-        mixed = sequential_select(z_obs, 1, x_obs, 1, np.eye(2) / 2.0)
-        return _all(
-            _near(first.weight, 0.5, tol),
-            _near(mixed.weight, 0.25, tol),
-        )
-
-    def seq_commuting_symmetry():
-        z = random_density(4, 4, cfg.seed)
-        worst = 0.0
-        for k in range(r4.outcome_count):
-            for j in range(s4.outcome_count):
-                ab = sequential_select(r4, k, s4, j, z).weight
-                ba = sequential_select(s4, j, r4, k, z).weight
-                direct = float(
-                    np.trace(s4.pairs[j].projector @ r4.pairs[k].projector @ z.matrix).real
-                )
-                worst = max(worst, abs(ab - ba), abs(ab - direct))
-        return worst <= tol, f"residual {worst!r}"
-
-    def c1_self():
-        res = condition1_holds(obs225, obs225, "exact", cfg.samples, cfg.seed, tol)
-        return res.holds, f"residual {res.residual!r}"
-
-    def c1_conjugate_pair():
-        res = condition1_holds(z_obs, x_obs, "exact", cfg.samples, cfg.seed, tol)
-        repeat = born(z_obs, normalize(sequential_select(z_obs, 1, x_obs, 1, ground)), tol)
-        return _all(
-            (not res.holds, "claimed certain"),
-            _near(repeat.probability(0), 0.5, tol),
-            _near(repeat.probability(1), 0.5, tol),
-        )
-
-    def c1_commuting_blocks():
-        exact = condition1_holds(r4, s4, "exact", cfg.samples, cfg.seed, tol)
-        sampled = condition1_holds(r4, s4, "sampled", cfg.samples, cfg.seed, tol)
-        return _all(
-            (exact.holds, f"exact residual {exact.residual!r}"),
-            (sampled.holds, f"sampled residual {sampled.residual!r}"),
-        )
-
-    def c2_self():
-        res = condition2_holds(obs225, obs225, "exact", cfg.samples, cfg.seed, tol)
-        return res.holds, f"residual {res.residual!r}"
-
-    def c2_dephasing_gap():
-        res = condition2_holds(z_obs, x_obs, "exact", cfg.samples, cfg.seed, tol)
-        plus = from_pure(np.array([1.0, 1.0]) / _SQ2)
-        ptj = x_obs.pairs[1].projector
-        lhs = float(np.trace(ptj @ lueders_aggregate(z_obs, plus).matrix).real)
-        rhs = float(np.trace(ptj @ plus.matrix).real)
-        return _all(
-            (not res.holds, "claimed undisturbed"),
-            _near(lhs, 0.5, tol),
-            _near(rhs, 1.0, tol),
-        )
-
-    def c2_tensor_pair():
-        exact = condition2_holds(r4, s4, "exact", cfg.samples, cfg.seed, tol)
-        sampled = condition2_holds(r4, s4, "sampled", cfg.samples, cfg.seed, tol)
-        return _all(
-            (exact.holds, f"exact residual {exact.residual!r}"),
-            (sampled.holds, f"sampled residual {sampled.residual!r}"),
-        )
-
-    def lemma_identity():
-        c = np.array([[1.0, 2.0], [3.0, 4.0j]])
-        return lemma_check(np.eye(2), c, tol), "inequality violated"
-
-    def lemma_kernel():
-        b = np.diag([1.0, 0.0])
-        c = np.array([[0.0, 0.0], [1.0, 1.0]])
-        return _all(
-            (lemma_check(b, c, tol), "inequality violated"),
-            _close(b @ c, np.zeros((2, 2)), tol),
-            _close(dagger(c) @ b @ c, np.zeros((2, 2)), tol),
-        )
-
-    def lemma_random_sweep():
-        rng = np.random.default_rng(cfg.seed)
-        for dim in range(2, 7):
-            for _ in range(100):
-                g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                b = g @ dagger(g)
-                c = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                if not lemma_check(b, c, 1e-9):
-                    return False, f"violated at dim {dim}"
-        return True, ""
-
-    def heisenberg_identity():
-        moved = heisenberg_observable(z_obs, np.eye(2), tol)
-        worst = max(
-            max_abs(a.projector - b.projector) for a, b in zip(moved.pairs, z_obs.pairs)
-        )
-        return worst <= tol, f"residual {worst!r}"
-
-    def heisenberg_hadamard():
-        moved = heisenberg_observable(z_obs, hadamard, tol)
-        minus = from_pure([1.0, -1.0]).matrix
-        plus = from_pure([1.0, 1.0]).matrix
-        return _all(
-            _close(moved.pairs[0].projector, minus, tol),
-            _close(moved.pairs[1].projector, plus, tol),
-        )
-
-    def heisenberg_keeps_eigenvalues():
-        moved = heisenberg_observable(obs225, _haar3(cfg.seed), tol)
-        return moved.eigenvalues == obs225.eigenvalues, f"got {moved.eigenvalues}"
-
-    def report_commuting():
-        rep = compat_report(r4, s4, config=cfg)
-        ok = rep.verdict_condition1 and rep.verdict_condition2 and rep.verdict_commute
-        return ok, f"verdicts {rep.verdict_condition1} {rep.verdict_condition2} {rep.verdict_commute}"
-
-    def report_conjugate():
-        rep = compat_report(z_obs, x_obs, config=cfg)
-        ok = not (rep.verdict_condition1 or rep.verdict_condition2 or rep.verdict_commute)
-        return _all(
-            (ok, "expected all false"),
-            _near(rep.commutator_residual, 2.0, tol),
-        )
-
-    def report_same_observable_later_time():
-        rep = compat_report(z_obs, z_obs, u2=hadamard, config=cfg)
-        ok = not (rep.verdict_condition1 or rep.verdict_condition2 or rep.verdict_commute)
-        return ok, "evolved copy should be incompatible"
-
-    def theta_reduction_verdicts():
-        fam_z = make_theta_family(z_obs, z_obs.basis, tol)
-        fam_x = make_theta_family(x_obs, x_obs.basis, tol)
-        fam_r = make_theta_family(r4, r4.basis, tol)
-        fam_s = make_theta_family(s4, s4.basis, tol)
-        t1 = theta_condition1(fam_z, fam_x, "exact", cfg.samples, cfg.seed, tol)
-        p1 = condition1_holds(z_obs, x_obs, "exact", cfg.samples, cfg.seed, tol)
-        t2 = theta_condition2(fam_r, fam_s, "exact", cfg.samples, cfg.seed, tol)
-        p2 = condition2_holds(r4, s4, "exact", cfg.samples, cfg.seed, tol)
-        return _all(
-            (t1.holds == p1.holds, "condition 1 verdicts differ"),
-            (t2.holds == p2.holds, "condition 2 verdicts differ"),
-        )
-
-    def theta_commuting_rotated():
-        r, s = curated_pairs(4, 1, commuting=True, seed=cfg.seed)[0]
-        rng = np.random.default_rng(cfg.seed + 1)
-        fam_r = sector_rotated_family(r, s, rng, tol)
-        fam_s = sector_rotated_family(s, r, rng, tol)
-        t1e = theta_condition1(fam_r, fam_s, "exact", cfg.samples, cfg.seed, tol)
-        t1s = theta_condition1(fam_r, fam_s, "sampled", cfg.samples, cfg.seed, tol)
-        t2e = theta_condition2(fam_r, fam_s, "exact", cfg.samples, cfg.seed, tol)
-        t2s = theta_condition2(fam_r, fam_s, "sampled", cfg.samples, cfg.seed, tol)
-        ok = t1e.holds and t1s.holds and t2e.holds and t2s.holds
-        return ok, (
-            f"residuals {t1e.residual!r} {t1s.residual!r} {t2e.residual!r} {t2s.residual!r}"
-        )
-
-    def theta_free_rotation_disturbs():
-        id_obs = spectral_decompose(np.eye(2), ctol, tol)
-        kick = make_theta_family(id_obs, [hadamard], tol)
-        fam_z = make_theta_family(z_obs, z_obs.basis, tol)
-        t2 = theta_condition2(kick, fam_z, "exact", cfg.samples, cfg.seed, tol)
-        return _all(
-            (commutes(np.eye(2), np.diag([1.0, -1.0]), tol).commute, "not commuting"),
-            (not t2.holds, "kick claimed harmless"),
-            _near(t2.residual, 0.5, tol),
-        )
-
-    def theta_conjugate_rotated():
-        rng = np.random.default_rng(cfg.seed + 2)
-        fam_z = rotated_theta_family(z_obs, rng, tol)
-        fam_x = rotated_theta_family(x_obs, rng, tol)
-        t1 = theta_condition1(fam_z, fam_x, "exact", cfg.samples, cfg.seed, tol)
-        t2 = theta_condition2(fam_z, fam_x, "exact", cfg.samples, cfg.seed, tol)
-        return _all(
-            (not t1.holds, "condition 1 claimed to hold"),
-            (not t2.holds, "condition 2 claimed to hold"),
-        )
-
-    return [
-        ("compat/sequential-self-selection", seq_matches_single),
-        ("compat/sequential-two-step-weights", seq_two_step_weights),
-        ("compat/sequential-commuting-symmetry", seq_commuting_symmetry),
-        ("compat/certainty-survives-self", c1_self),
-        ("compat/certainty-lost-across-bases", c1_conjugate_pair),
-        ("compat/certainty-kept-commuting-blocks", c1_commuting_blocks),
-        ("compat/statistics-survive-self", c2_self),
-        ("compat/statistics-shift-across-bases", c2_dephasing_gap),
-        ("compat/statistics-kept-tensor-pair", c2_tensor_pair),
-        ("compat/lemma-identity-weight", lemma_identity),
-        ("compat/lemma-kernel-case", lemma_kernel),
-        ("compat/lemma-random-sweep", lemma_random_sweep),
-        ("compat/frame-change-identity", heisenberg_identity),
-        ("compat/frame-change-hadamard", heisenberg_hadamard),
-        ("compat/frame-change-keeps-eigenvalues", heisenberg_keeps_eigenvalues),
-        ("compat/report-commuting-pair", report_commuting),
-        ("compat/report-conjugate-pair", report_conjugate),
-        ("compat/report-evolved-copy", report_same_observable_later_time),
-        ("compat/theta-reduction-verdicts", theta_reduction_verdicts),
-        ("compat/theta-commuting-rotated-bases", theta_commuting_rotated),
-        ("compat/theta-rotation-outside-sectors-disturbs", theta_free_rotation_disturbs),
-        ("compat/theta-conjugate-pair-fails", theta_conjugate_rotated),
-    ]
-
-
-def _haar3(seed):
-    from .linalg import random_unitary
-
-    return random_unitary(3, np.random.default_rng(seed))
-
-
-def _constraints_checks(cfg: RunConfig):
-    tol = cfg.tol
-    ctol = cfg.cluster_tol
-    n_sym = make_exchange_constraint(2, symmetric=True)
-    n_anti = make_exchange_constraint(2, symmetric=False)
-    zero4 = Constraint(np.zeros((4, 4)), label="zero")
-    sym_state = from_pure(np.array([0.0, 1.0, 1.0, 0.0]) / _SQ2)
-    r_sym = spectral_decompose(np.diag([2.0, 0.0, 0.0, -2.0]), ctol, tol)
-    r_single = spectral_decompose(np.diag([1.0, 1.0, -1.0, -1.0]), ctol, tol)
-
-    def zero_always_satisfied():
-        z = random_density(4, 4, cfg.seed)
-        got = satisfies(z, zero4, tol)
-        return got.satisfied and got.residual == 0.0, f"residual {got.residual!r}"
-
-    def symmetric_state_passes():
-        got = satisfies(sym_state, n_sym, tol)
-        return got.satisfied, f"residual {got.residual!r}"
-
-    def product_state_fails():
-        got = satisfies(from_pure([0.0, 1.0, 0.0, 0.0]), n_sym, tol)
-        return _all(
-            (not got.satisfied, "claimed satisfied"),
-            _near(got.residual, 0.5, tol),
-        )
-
-    def zero_permits_everything():
-        return measurable_under(r_single, zero4, tol), "zero constraint blocked a measurement"
-
-    def symmetric_observable_allowed():
-        return measurable_under(r_sym, n_sym, tol), "symmetric observable blocked"
-
-    def single_particle_forbidden():
-        return not measurable_under(r_single, n_sym, tol), "one-sided observable allowed"
-
-    def measurable_preserves():
-        z = random_constrained_density(n_sym, cfg.seed, tol=tol)
-        rows = preserves_constraint(r_sym, n_sym, z, tol)
-        worst = max(row.residual for row in rows)
-        return all(row.preserved for row in rows), f"worst residual {worst!r}"
-
-    def forbidden_breaks():
-        for offset in range(100):
-            z = random_constrained_density(n_sym, cfg.seed + offset, tol=tol)
-            rows = preserves_constraint(r_single, n_sym, z, tol)
-            if any(row.residual > 1e-3 for row in rows):
-                return True, ""
-        return False, "no violating outcome found in 100 seeds"
-
-    def zero_preserves():
-        z = random_density(4, 4, cfg.seed)
-        rows = preserves_constraint(r_single, zero4, z, tol)
-        return all(row.preserved for row in rows), "zero constraint violated"
-
-    def exchange_sym_rank():
-        singlet = from_pure(np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2)
-        return _all(
-            _near(np.trace(n_sym.operator).real, 1.0, tol),
-            _close(n_sym.operator, singlet.matrix, tol),
-        )
-
-    def exchange_antisym_rank():
-        triplet = (
-            from_pure([1.0, 0.0, 0.0, 0.0]).matrix
-            + from_pure([0.0, 0.0, 0.0, 1.0]).matrix
-            + sym_state.matrix
-        )
-        return _all(
-            _near(np.trace(n_anti.operator).real, 3.0, tol),
-            _close(n_anti.operator, triplet, tol),
-        )
-
-    def exchange_projector_identities():
-        worst = 0.0
-        for n in (n_sym, n_anti):
-            worst = max(worst, max_abs(n.operator @ n.operator - n.operator))
-            worst = max(worst, max_abs(n.operator - dagger(n.operator)))
-        return worst <= 1e-12, f"residual {worst!r}"
-
-    return [
-        ("constraints/zero-operator-satisfied", zero_always_satisfied),
-        ("constraints/symmetric-state-satisfies", symmetric_state_passes),
-        ("constraints/product-state-violates", product_state_fails),
-        ("constraints/zero-permits-all-observables", zero_permits_everything),
-        ("constraints/symmetric-observable-measurable", symmetric_observable_allowed),
-        ("constraints/single-particle-not-measurable", single_particle_forbidden),
-        ("constraints/measurable-preserves-all-branches", measurable_preserves),
-        ("constraints/forbidden-observable-breaks-branch", forbidden_breaks),
-        ("constraints/zero-trivially-preserved", zero_preserves),
-        ("constraints/exchange-symmetric-is-singlet", exchange_sym_rank),
-        ("constraints/exchange-antisymmetric-is-triplet", exchange_antisym_rank),
-        ("constraints/exchange-operators-are-projectors", exchange_projector_identities),
-    ]
-
-
-def _cli_checks(cfg: RunConfig):
-    tol = cfg.tol
-
-    def run_cli(argv, workdir):
-        from . import cli
-
-        out = io.StringIO()
-        err = io.StringIO()
-        files = {}
-        for name, matrix in workdir.items():
-            path = os.path.join(run_cli.tmp, name)
-            write_matrix(path, matrix)
-            files[name] = path
-        argv = [files.get(a, a) for a in argv]
-        code = cli.run(argv, out=out, err=err)
-        return code, out.getvalue(), err.getvalue()
-
-    def with_tmp(fn):
-        def wrapped():
-            with tempfile.TemporaryDirectory() as tmp:
-                run_cli.tmp = tmp
-                return fn()
-
-        return wrapped
-
-    def decompose_table():
-        code, out, _ = run_cli(
-            ["decompose", "m.txt"], {"m.txt": np.diag([2.0, 2.0, 5.0])}
-        )
-        lines = out.splitlines()
-        return _all(
-            (code == 0, f"exit {code}"),
-            ("2.0 2 2.0" in lines, "missing degenerate row"),
-            ("5.0 1 1.0" in lines, "missing simple row"),
-        )
-
-    def decompose_rejects_non_hermitian():
-        code, _, err = run_cli(
-            ["decompose", "m.txt"], {"m.txt": np.array([[0.0, 1.0], [0.0, 0.0]])}
-        )
-        return _all(
-            (code == 2, f"exit {code}"),
-            ("NotHermitian" in err, f"diagnostic {err!r}"),
-        )
-
-    def decompose_identity():
-        code, out, _ = run_cli(["decompose", "m.txt"], {"m.txt": np.eye(3)})
-        return _all(
-            (code == 0, f"exit {code}"),
-            ("1.0 3 3.0" in out.splitlines(), "missing identity row"),
-        )
-
-    def measure_worked_triple():
-        psi = from_pure(np.ones(3) / np.sqrt(3.0))
-        code, out, _ = run_cli(
-            ["measure", "--observable", "o.txt", "--state", "s.txt", "--rule", "lueders", "--aggregate"],
-            {"o.txt": np.diag([2.0, 2.0, 5.0]), "s.txt": psi.matrix},
-        )
-        lines = out.splitlines()
-        probs = [float(line.split("p=")[1]) for line in lines if line.startswith("r=")]
-        matrix = parse_matrix("\n".join(lines[len(probs):]), "result")
-        want = np.array([[1 / 3, 1 / 3, 0], [1 / 3, 1 / 3, 0], [0, 0, 1 / 3]])
-        return _all(
-            (code == 0, f"exit {code}"),
-            _near(probs[0], 2 / 3, tol),
-            _near(probs[1], 1 / 3, tol),
-            _close(matrix, want, tol),
-        )
-
-    def compat_verdict_line():
-        code, out, _ = run_cli(
-            ["compat", "--r", "r.txt", "--s", "s.txt"],
-            {"r.txt": np.diag([1.0, -1.0]), "s.txt": np.array([[0.0, 1.0], [1.0, 0.0]])},
-        )
-        return _all(
-            (code == 0, f"exit {code}"),
-            ("verdict c1=false c2=false comm=false" in out.splitlines(), f"output {out!r}"),
-        )
-
-    def constraint_table():
-        code, out, _ = run_cli(
-            ["constraint", "--exchange", "sym", "--r", "r.txt", "--random", "5"],
-            {"r.txt": np.diag([2.0, 0.0, 0.0, -2.0])},
-        )
-        lines = out.splitlines()
-        rows = [line.split() for line in lines[2:]]
-        return _all(
-            (code == 0, f"exit {code}"),
-            (lines and lines[0].startswith("measurable true"), "not reported measurable"),
-            (bool(rows) and all(row[2] == "true" for row in rows), "a branch broke the constraint"),
-        )
-
-    return [
-        ("cli/decompose-degenerate-table", with_tmp(decompose_table)),
-        ("cli/decompose-rejects-non-hermitian", with_tmp(decompose_rejects_non_hermitian)),
-        ("cli/decompose-identity-table", with_tmp(decompose_identity)),
-        ("cli/measure-worked-triple", with_tmp(measure_worked_triple)),
-        ("cli/compat-verdict-line", with_tmp(compat_verdict_line)),
-        ("cli/constraint-exchange-table", with_tmp(constraint_table)),
-    ]
+    return got, (True,) * 4
+
+
+def _exchange_symmetric(cfg):
+    # total sigma_z of two qubits commutes with SWAP: it is measurable,
+    # and no outcome branch leaves the symmetric sector
+    n = make_exchange_constraint(2, symmetric=True)
+    r = _observable(np.diag([2.0, 0.0, 0.0, -2.0]), cfg)
+    z = random_constrained_density(n, cfg.seed, tol=cfg.tol)
+    rows = preserves_constraint(r, n, z, cfg.tol)
+    return (measurable_under(r, n, cfg.tol), [row.preserved for row in rows]), (True, [True] * 3)
+
+
+def _exchange_single_particle(cfg):
+    n = make_exchange_constraint(2, symmetric=True)
+    return measurable_under(_observable(np.kron(_Z, np.eye(2)), cfg), n, cfg.tol), False
+
+
+def _matrix_roundtrip(cfg):
+    m = random_density(3, 3, cfg.seed).matrix
+    return parse_matrix(format_matrix(m)), m
+
+
+_ROWS = [
+    ("observables/decompose-degenerate-diagonal", _decompose_degenerate),
+    ("channels/born-degenerate-weights", _born_weights),
+    ("channels/select-degenerate-stays-pure", _lueders_select),
+    ("channels/aggregate-degenerate-blocks", _lueders_aggregate),
+    ("channels/basis-rule-overmixes", _von_neumann_overmixes),
+    ("channels/degeneracy-free-rules-agree", _von_neumann_simple),
+    ("channels/theta-repeats-eigenvalue", _theta_repeats_eigenvalue),
+    ("compat/report-conjugate-pair", _conjugate_pair),
+    ("compat/report-commuting-pair", _commuting_pair),
+    ("compat/report-evolved-copy", _evolved_copy),
+    ("compat/theta-commuting-rotated-bases", _theta_sector_rotations),
+    ("constraints/measurable-preserves-all-branches", _exchange_symmetric),
+    ("constraints/single-particle-not-measurable", _exchange_single_particle),
+    ("matrixio/format-parse-roundtrip", _matrix_roundtrip),
+]
+
+
+def _flat(side) -> np.ndarray:
+    """Every number on one side of a row (a value or a tuple of values) as one vector."""
+    parts = side if isinstance(side, tuple) else (side,)
+    return np.concatenate([np.ravel(np.asarray(p, dtype=complex)) for p in parts])
 
 
 def run_demo(cfg: RunConfig, out) -> int:
-    """Run every check; print one PASS/FAIL line each; 0 iff everything passed."""
-    checks = (
-        _linalg_checks(cfg)
-        + _states_checks(cfg)
-        + _observables_checks(cfg)
-        + _channels_checks(cfg)
-        + _compatibility_checks(cfg)
-        + _constraints_checks(cfg)
-        + _cli_checks(cfg)
-    )
+    """Run every row; print one PASS/FAIL line each; 0 iff everything passed."""
     failed = 0
-    for label, fn in checks:
+    for label, fn in _ROWS:
         try:
-            ok, detail = fn()
+            got, want = (_flat(side) for side in fn(cfg))
         except QMeasureError as exc:
             ok, detail = False, f"unexpected {type(exc).__name__}: {exc}"
+        else:
+            if got.shape != want.shape:
+                ok, detail = False, f"{got.size} values, expected {want.size}"
+            else:
+                residual = max_abs(got - want)
+                ok, detail = residual <= cfg.tol, f"residual {residual!r}"
         if ok:
             print(f"PASS {label}", file=out)
         else:
             failed += 1
             print(f"FAIL {label}: {detail}", file=out)
-    print(f"demo: {len(checks)} checks, {len(checks) - failed} passed, {failed} failed", file=out)
+    print(f"demo: {len(_ROWS)} checks, {len(_ROWS) - failed} passed, {failed} failed", file=out)
     return 0 if failed == 0 else 1

@@ -257,13 +257,14 @@ def commutes(a, b, tol: float = DEFAULT_TOL) -> CommutationResult:
     return CommutationResult(residual <= tol, residual)
 
 
-def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
+def _relative_commutator(a: np.ndarray, b: np.ndarray, b_norm: float | None = None) -> float:
     """max|[A, B]| / (max|A| max|B|), 0 when either operator is zero.
 
     Rescaling either operator leaves this unchanged, so a verdict judged
     on it does not depend on the units the operators are given in.
+    ``b_norm`` is max|B| when the caller already has it.
     """
-    scale = max_abs(a) * max_abs(b)
+    scale = max_abs(a) * (max_abs(b) if b_norm is None else b_norm)
     return commutes(a, b).residual / scale if scale > 0 else 0.0
 
 

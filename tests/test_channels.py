@@ -20,6 +20,7 @@ from qmeasure.errors import (
     BadOutcomeIndex,
     DimMismatch,
     ImpossibleOutcome,
+    InvalidState,
     SubspaceViolation,
 )
 from qmeasure.linalg import dagger, max_abs, random_unitary
@@ -34,6 +35,9 @@ def degenerate_observable(spectrum, seed):
 
 OBS225 = spectral_decompose(np.diag([2.0, 2.0, 5.0]))
 PSI3 = from_pure(np.ones(3) / np.sqrt(3.0))
+Z_OBS = spectral_decompose(np.diag([1.0, -1.0]))
+ID2 = spectral_decompose(np.eye(2))
+PLUS = from_pure([1.0, 1.0])
 
 
 class TestBorn:
@@ -42,6 +46,9 @@ class TestBorn:
         assert dist.probability(0) == pytest.approx(2 / 3)
         assert dist.probability(1) == pytest.approx(1 / 3)
         assert dist.eigenvalues == (2.0, 5.0)
+        assert born(Z_OBS, PLUS).probabilities == pytest.approx((0.5, 0.5))
+        # the identity has one outcome, so it reveals nothing about the state
+        assert born(ID2, random_density(2, 2, 0)).probabilities == pytest.approx((1.0,))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_distribution_normalized(self, seed):
@@ -55,6 +62,13 @@ class TestBorn:
         with pytest.raises(DimMismatch):
             born(OBS225, random_density(2, 2, 0))
 
+    def test_bare_array_out_of_range_is_invalid_state(self):
+        # a bare array is not validated first; born itself rejects the weights
+        with pytest.raises(InvalidState, match="outside"):
+            born(Z_OBS, np.diag([1.5, -0.5]))
+        with pytest.raises(InvalidState, match="sum to"):
+            born(Z_OBS, np.diag([0.6, 0.6]))
+
     def test_out_of_range_index(self):
         with pytest.raises(BadOutcomeIndex):
             born(OBS225, PSI3).probability(5)
@@ -66,6 +80,11 @@ class TestLueders:
         want = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]]) / 3.0
         np.testing.assert_allclose(sel.matrix, want, atol=1e-12)
         assert sel.weight == pytest.approx(2 / 3)
+        # a simple eigenvalue: the branch is P_k times the weight Tr(P_k Z)
+        np.testing.assert_allclose(lueders_select(Z_OBS, 1, PLUS).matrix, np.diag([0.5, 0.0]), atol=1e-12)
+        # the identity's one outcome leaves the state undisturbed
+        z = random_density(2, 2, 0)
+        np.testing.assert_allclose(lueders_select(ID2, 0, z).matrix, z.matrix, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_select_trace_matches_born(self, seed):
@@ -87,6 +106,14 @@ class TestLueders:
         for k in range(obs.outcome_count):
             total += lueders_select(obs, k, z).matrix
         assert np.array_equal(total, lueders_aggregate(obs, z).matrix)
+
+    def test_aggregate_worked_values(self):
+        # blocks of one eigenspace keep their coherence, cross blocks go
+        want = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) / 3.0
+        np.testing.assert_allclose(lueders_aggregate(OBS225, PSI3).matrix, want, atol=1e-12)
+        np.testing.assert_allclose(lueders_aggregate(Z_OBS, PLUS).matrix, np.eye(2) / 2.0, atol=1e-12)
+        z = random_density(2, 2, 0)
+        np.testing.assert_allclose(lueders_aggregate(ID2, z).matrix, z.matrix, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_aggregate_is_valid_state(self, seed):
@@ -129,6 +156,9 @@ class TestVonNeumann:
     def test_diagonal_in_chosen_basis(self):
         out = von_neumann_aggregate(OBS225, PSI3)
         np.testing.assert_allclose(out.matrix, np.eye(3) / 3.0, atol=1e-12)
+        # even the identity, which Lueders leaves alone, dephases |+>
+        out = von_neumann_aggregate(ID2, PLUS)
+        np.testing.assert_allclose(out.matrix, np.eye(2) / 2.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_lueders_without_degeneracy(self, seed):
@@ -197,6 +227,11 @@ class TestThetaFamily:
             lueders_aggregate(OBS225, PSI3).matrix,
             atol=1e-14,
         )
+        np.testing.assert_allclose(
+            theta_select(fam, 0, PSI3).matrix,
+            lueders_select(OBS225, 0, PSI3).matrix,
+            atol=1e-14,
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_select_weight_matches_born(self, seed):
@@ -225,10 +260,17 @@ class TestThetaFamily:
             np.array([[0.0], [0.0], [1.0]]),
         ]
         fam = make_theta_family(OBS225, targets)
+        want = np.zeros((3, 3))
+        want[:, :2] = targets[0]
+        np.testing.assert_allclose(fam.theta(0), want, atol=1e-12)
+        np.testing.assert_allclose(
+            dagger(fam.theta(0)) @ fam.theta(0), OBS225.pairs[0].projector, atol=1e-12
+        )
         z = from_pure([1.0, 0.0, 0.0])
         moved = theta_select(fam, 0, z)
         assert moved.weight == pytest.approx(1.0)
         assert max_abs(moved.matrix - z.matrix) > 0.4
+        np.testing.assert_allclose(moved.matrix, from_pure([1.0, 1.0, 0.0]).matrix, atol=1e-12)
 
     def test_aggregate_valid_state(self):
         fam = rotated_theta_family(OBS225, 5)

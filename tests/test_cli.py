@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from qmeasure import cli
+from qmeasure import cli, compatibility
 from qmeasure.matrixio import parse_matrix, write_matrix
 
 OBS225 = np.diag([2.0, 2.0, 5.0])
@@ -47,6 +47,8 @@ class TestDecompose:
             "2.0 2 2.0",
             "5.0 1 1.0",
         ]
+        _, out, _ = invoke(["decompose", put("id.txt", np.eye(3))])
+        assert out.splitlines()[1:] == ["1.0 3 3.0"]
 
     def test_machine_format(self, put):
         code, out, _ = invoke(["decompose", "--format", "machine", put("m.txt", OBS225)])
@@ -187,6 +189,19 @@ class TestMeasure:
         )
         assert code == 0
         np.testing.assert_allclose(matrix_tail(out), np.eye(3) / 3.0, atol=1e-12)
+        # Lueders keeps the coherence inside the degenerate block
+        code, out, _ = invoke(
+            [
+                "measure",
+                "--observable", put("o.txt", OBS225),
+                "--state", put("z.txt", pure),
+                "--rule", "lueders", "--aggregate",
+            ]
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == ["r=2.0 p=0.6666666666666666", "r=5.0 p=0.3333333333333333"]
+        want = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) / 3.0
+        np.testing.assert_allclose(matrix_tail(out), want, atol=1e-12)
 
 
 class TestCompat:
@@ -417,6 +432,34 @@ class TestExitCodes:
         )
         assert code == 3
         assert "ConstraintViolatedOnInput" in err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_constraint_nonpositive_random_is_3(self, put, count):
+        code, out, err = invoke(
+            [
+                "constraint",
+                "--exchange", "sym",
+                "--r", put("r.txt", np.diag([2.0, 0.0, 0.0, -2.0])),
+                "--random", count,
+            ]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: BadArgument: random must be at least 1")
+
+    def test_verdict_disagreement_is_4(self, put, monkeypatch):
+        # a condition 1 route that fails a commuting pair breaks the
+        # equivalence the report enforces
+        monkeypatch.setattr(
+            compatibility, "_condition1",
+            lambda *args: compatibility.ConditionResult(False, 0.5, compatibility.FAILS, None),
+        )
+        code, out, err = invoke(
+            ["compat", "--r", put("r.txt", SZ), "--s", put("s.txt", np.diag([3.0, 7.0]))]
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: VerdictDisagreement:")
 
 
 class TestDemoCommand:

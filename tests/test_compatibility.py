@@ -12,10 +12,12 @@ from qmeasure.channels import (
     theta_aggregate,
     theta_select,
 )
+from qmeasure import compatibility
 from qmeasure.compatibility import (
     FAILS,
     HOLDS,
     INDETERMINATE,
+    ConditionResult,
     compat_report,
     condition1_holds,
     condition2_holds,
@@ -28,7 +30,7 @@ from qmeasure.compatibility import (
     theta_condition2,
     verdict_from_residual,
 )
-from qmeasure.errors import NotPositive, NotUnitary, ValidationError
+from qmeasure.errors import NotPositive, NotUnitary, ValidationError, VerdictDisagreement
 from qmeasure.linalg import commutes, dagger, max_abs, random_unitary
 from qmeasure.observables import reconstruct, spectral_decompose
 from qmeasure.states import from_pure, random_density
@@ -60,6 +62,10 @@ class TestSequentialSelect:
         np.testing.assert_allclose(
             got.matrix, ptj @ pk @ z.matrix @ pk @ ptj, atol=1e-14
         )
+        # selecting the same outcome twice is one selection
+        np.testing.assert_allclose(
+            sequential_select(R4, 0, R4, 0, z).matrix, lueders_select(R4, 0, z).matrix, atol=1e-14
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_commuting_order_symmetric(self, seed):
@@ -73,7 +79,7 @@ class TestSequentialSelect:
 
 class TestConditions:
     def test_self_always_compatible(self):
-        for obs in (Z_OBS, X_OBS, R4, S4):
+        for obs in (Z_OBS, X_OBS, R4, S4, spectral_decompose(np.diag([2.0, 2.0, 5.0]))):
             assert condition1_holds(obs, obs).holds
             assert condition2_holds(obs, obs).holds
 
@@ -167,6 +173,9 @@ class TestHeisenberg:
     def test_hadamard_swaps_bases(self):
         moved = heisenberg_observable(Z_OBS, HADAMARD)
         np.testing.assert_allclose(
+            moved.pairs[0].projector, from_pure([1.0, -1.0]).matrix, atol=1e-12
+        )
+        np.testing.assert_allclose(
             moved.pairs[1].projector, from_pure([1.0, 1.0]).matrix, atol=1e-12
         )
 
@@ -208,10 +217,22 @@ class TestCompatReport:
     def test_evolved_copy_incompatible(self):
         rep = compat_report(Z_OBS, Z_OBS, u2=HADAMARD)
         assert not rep.verdict_commute
+        assert not rep.verdict_condition1 and not rep.verdict_condition2
+
+    def test_decisive_disagreement_raises(self, monkeypatch):
+        # a condition 1 route that fails a commuting pair decisively
+        # contradicts condition 2 and the commutator
+        monkeypatch.setattr(compatibility, "_condition1", _decisive_failure)
+        with pytest.raises(VerdictDisagreement, match="three-way"):
+            compat_report(R4, S4)
 
     def test_evolved_copy_compatible_with_identity(self):
         rep = compat_report(Z_OBS, Z_OBS, u2=np.eye(2))
         assert rep.verdict_commute and rep.verdict_condition1
+
+
+def _decisive_failure(*args):
+    return ConditionResult(False, 0.5, FAILS, None)
 
 
 class TestCurated:

@@ -103,7 +103,10 @@ class TestMeasurable:
         assert not measurable_under(R_ONE, N_SYM)
 
     def test_zero_constraint_allows_anything(self):
-        assert measurable_under(R_ONE, Constraint(np.zeros((4, 4))))
+        zero = Constraint(np.zeros((4, 4)))
+        assert measurable_under(R_ONE, zero)
+        rows = preserves_constraint(R_ONE, zero, random_density(4, 4, 0))
+        assert all(row.preserved and row.residual == 0.0 for row in rows)
 
     def test_second_factor_observable_blocked(self):
         swap_like = np.kron(np.eye(2), np.diag([1.0, -1.0]))

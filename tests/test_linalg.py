@@ -81,6 +81,14 @@ class TestEigHermitian:
             sys.vectors, np.array([[s, s], [-s, s]]), atol=1e-12
         )
 
+    def test_known_diagonal_spectra(self):
+        ident = eig_hermitian(np.eye(2))
+        np.testing.assert_allclose(ident.values, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(ident.vectors, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(
+            eig_hermitian(np.diag([5.0, 2.0, 2.0])).values, [2.0, 2.0, 5.0], atol=1e-12
+        )
+
     def test_symmetrizes_tiny_skew(self):
         m = np.array([[1.0, 0.1 + 1e-12j], [0.1 - 3e-12j, 2.0]])
         sys = eig_hermitian(m)
@@ -152,6 +160,8 @@ class TestProjector:
     def test_single_vector(self):
         p = projector_from_basis(np.eye(2)[:, :1])
         np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-15)
+        plus = projector_from_basis(np.array([[1.0], [1.0]]) / np.sqrt(2.0))
+        np.testing.assert_allclose(plus, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_plane(self):
         p = projector_from_basis(np.eye(3)[:, :2])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmeasure.errors import BadOutcomeIndex, DimMismatch, NotHermitian, ValidationError
 from qmeasure.linalg import dagger, max_abs, random_unitary
@@ -52,6 +53,21 @@ def test_family_invariants(spectrum):
     assert obs.eigenvalues == sorted(obs.eigenvalues)
     for pair in obs.pairs:
         assert pair.multiplicity == pytest.approx(np.trace(pair.projector).real)
+
+
+@pytest.mark.parametrize("diagonal, eigenvalues, multiplicities", [
+    ([1.0, 1.0, 1.0], [1.0], [3]),
+    ([1.0, -1.0], [-1.0, 1.0], [1, 1]),
+    ([2.0, 2.0, 5.0], [2.0, 5.0], [2, 1]),
+])
+def test_diagonal_read_off(diagonal, eigenvalues, multiplicities):
+    # each projector of a diagonal observable is the indicator of its value
+    obs = spectral_decompose(np.diag(diagonal))
+    assert obs.eigenvalues == pytest.approx(eigenvalues)
+    assert obs.multiplicities == multiplicities
+    for pair in obs.pairs:
+        want = np.diag([1.0 if v == pair.eigenvalue else 0.0 for v in diagonal])
+        np.testing.assert_allclose(pair.projector, want, atol=1e-12)
 
 
 def test_degenerate_projector_matches_subspace():
@@ -115,6 +131,8 @@ class TestObservableFromPairs:
         )
         assert obs.eigenvalues == [2.0, 5.0]
         np.testing.assert_allclose(reconstruct(obs), np.diag([2.0, 2.0, 5.0]), atol=1e-12)
+        ident = observable_from_pairs([(1.0, np.eye(2))])
+        np.testing.assert_allclose(reconstruct(ident), np.eye(2), atol=1e-12)
 
     def test_rejects_duplicate_eigenvalues(self):
         with pytest.raises(ValidationError):
@@ -161,6 +179,30 @@ class TestRefinement:
             is_function_refinement(
                 spectral_decompose(np.eye(2)), spectral_decompose(np.eye(3))
             )
+
+
+@st.composite
+def refinements(draw):
+    """(fine, coarse): a rotated integer spectrum with repeats allowed, and
+    its image under a random map that merges some of its distinct values."""
+    dim = draw(st.integers(2, 8))
+    values = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)), float)
+    merge = {v: draw(st.integers(0, 3)) for v in np.unique(values)}
+    u = random_unitary(dim, draw(st.integers(0, 2**32 - 1)))
+    fine = spectral_decompose(u @ np.diag(values) @ dagger(u))
+    coarse = spectral_decompose(u @ np.diag([float(merge[v]) for v in values]) @ dagger(u))
+    return fine, coarse
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(refinements())
+def test_merged_spectrum_is_a_refinement(pair):
+    # the multiplicity - 0.5 overlap rule picks exactly the fine projectors
+    # inside each coarse one; a merged projector is never inside a fine one
+    fine, coarse = pair
+    assert is_function_refinement(fine, coarse)
+    if coarse.outcome_count < fine.outcome_count:
+        assert not is_function_refinement(coarse, fine)
 
 
 def test_rebuilt_observable_roundtrip():

@@ -33,6 +33,7 @@ def test_from_pure_normalizes():
     np.testing.assert_allclose(
         from_pure([3.0, 0.0]).matrix, np.diag([1.0, 0.0]), atol=1e-15
     )
+    np.testing.assert_allclose(from_pure([1.0, 1.0]).matrix, np.full((2, 2), 0.5), atol=1e-15)
 
 
 def test_from_pure_complex_phase():
@@ -51,6 +52,10 @@ def test_mix_convex():
         z.matrix, [[0.875, 0.125], [0.125, 0.125]], atol=1e-15
     )
     assert z.trace == pytest.approx(1.0)
+    coin = mix([(0.5, from_pure([1.0, 0.0])), (0.5, from_pure([0.0, 1.0]))])
+    np.testing.assert_allclose(coin.matrix, np.eye(2) / 2.0, atol=1e-15)
+    single = random_density(3, 2, seed=0)
+    np.testing.assert_allclose(mix([(1.0, single)]).matrix, single.matrix, atol=1e-15)
 
 
 def test_mix_rejects_bad_weights():
@@ -71,6 +76,7 @@ class TestRandomDensity:
         for dim in (1, 2, 4, 8):
             z = random_density(dim, dim, seed=0)
             validate(z)
+        np.testing.assert_allclose(random_density(1, 1, seed=0).matrix, [[1.0]], atol=1e-15)
 
     def test_seed_deterministic(self):
         a = random_density(5, 3, seed=42)
