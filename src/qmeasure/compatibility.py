@@ -3,7 +3,7 @@
 Each of the two operational conditions is one routine on per-outcome
 Kraus operators, A_k for the R-measurement and B_j for the S-measurement,
 with an exact route (an operator identity) and a sampled route (traces
-over seeded random states).  The operators come as basis blocks,
+over seeded random pure states).  The operators come as basis blocks,
 A_k = T_k V_k* with V_k R's eigenbasis block and T_k its target block,
 and B_j = U_j W_j* alike.  The projector checks are the instance
 T_k = V_k (A_k = P_k, B_j = Pt_j); the theta checks pass the target
@@ -20,6 +20,11 @@ probability unchanged.  Exactly: sum_k A_k* Pt_j A_k = Pt_j for every j;
 statistically: Tr(Pt_j Z') = Tr(Pt_j Z) over random Z, where
 Z' = sum_k A_k Z A_k* is the aggregate R-update of Z.
 
+The sampled route draws Haar-random pure states Z = z z*.  Every sampled
+residual is linear in the state, Tr(M Z), and a linear function takes
+its largest magnitude over the convex set of states at an extreme point,
+a pure state; mixed states would add cost and no detection power.
+
 Both projector conditions hold iff the two operators commute, so
 ``compat_report`` runs both routes, checks them against the commutator,
 and raises VerdictDisagreement on a decisive disagreement (it would mean
@@ -28,11 +33,14 @@ an implementation bug, not physics).
 Cost.  Neither routine forms a dense Kraus product.  They work in R's
 eigenbasis V, where one overlap N_j = (V* U_j)(W_j* T) per S outcome
 holds every (k, l) block of condition 1, and condition 2 becomes a block
-mask.  An exact route costs O(K_S d^3).  A sampled route costs
-O(samples d^3) for the rotation V* Z V of the state batch, plus, for
-condition 1, O(samples K_S K_R sum m_k^2) over R's degenerate outcomes
-of multiplicity m_k; that stays within O(samples d^3) unless one large
-eigenspace sits among many small ones.
+mask.  An exact route costs O(K_S d^3).  The sampled route rotates the
+state vectors once, y = V* z, and reads both traces as norms of
+block-vector products, ||X_lk y_k||^2 and
+sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2.  Drawing and rotating the batch
+costs O(samples d^2), and sampled condition 2 O(d^3 + samples d^2) with
+the overlap W* T.  Sampled condition 1 forms the same overlaps N_j as the
+exact route, O(d^3) in all, and adds O(samples K_S d m_k) for each
+outcome of R of multiplicity m_k > 1.
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,
 above 10*tol a clean failure, and anything between is reported as
@@ -141,26 +149,32 @@ def sequential_select(r: Observable, k: int, s: Observable, j: int, z) -> Subens
 
 
 def _random_state_batch(dim: int, samples: int, seed: int) -> np.ndarray:
-    """Seeded batch of full-rank random states, stacked (samples, dim, dim)."""
+    """Seeded batch of Haar-random pure states z, one unit vector per row (samples, dim).
+
+    Every sampled residual is linear in the state, Tr(M Z), so its
+    maximum over all states is reached at a pure state: mixed states
+    would add cost and no detection power.
+    """
     rng = np.random.default_rng(seed)
-    g = (
-        rng.standard_normal((samples, dim, dim))
-        + 1j * rng.standard_normal((samples, dim, dim))
-    ) / np.sqrt(2.0)
-    zs = g @ np.conj(np.swapaxes(g, 1, 2))
-    traces = np.trace(zs, axis1=1, axis2=2).real
-    return zs / traces[:, None, None]
+    g = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
+    return g / np.linalg.norm(g, axis=1)[:, None]
 
 
 def _states(mode: str, dim: int, samples: int, seed: int) -> Optional[np.ndarray]:
-    """The seeded state batch of sampled mode; None in exact mode."""
+    """The seeded pure-state batch of sampled mode; None in exact mode."""
     _check_mode(mode)
     return _random_state_batch(dim, samples, seed) if mode == "sampled" else None
 
 
 def _result(worst: float, at, zs, tol: float) -> ConditionResult:
-    """Wrap the worst residual and its (state index, k, j, l) location."""
-    state = None if at is None or at[0] is None else DensityOperator(zs[at[0]])
+    """Wrap the worst residual and its (state index, k, j, l) location.
+
+    The witness state is the rank-1 z z* of the batch vector z it names.
+    """
+    state = None
+    if at is not None and at[0] is not None:
+        z = zs[at[0]]
+        state = DensityOperator(np.outer(z, z.conj()))
     witness = None if at is None else Witness(state, *at[1:])
     return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
 
@@ -193,43 +207,32 @@ def _condition1(r_basis, r_targets, s_basis, s_targets, zs, tol) -> ConditionRes
     ``s_basis[j]``, ``s_targets[j]``; the readout projectors are
     P_l = V_l V_l*.  Exact mode (``zs`` None) takes the worst
     |A_k* B_j* P_l B_j A_k| over l != k; sampled mode the worst
-    |Tr(P_l B_j A_k Z A_k* B_j*)| over the states Z in ``zs``.  Triples
-    run j, then k, then l, and a later tie takes over the witness.
+    Tr(P_l B_j A_k Z A_k* B_j*) over the pure states Z = z z* of ``zs``.
+    Triples run j, then k, then l, and a later tie takes over the witness.
 
     Everything comes from N_j = (V* U_j)(W_j* T), whose (l, k) block X is
-    V_l* B_j T_k.  The exact operator is V_k X* X V_k*, positive
-    semidefinite, so its max-abs entry is its largest diagonal entry,
-    max_a sum_{r in l} |(N_j[:, k] V_k*)[r, a]|^2.  The sampled trace is
-    Tr(Zr_kk X* X) with Zr = V* Z V.  For a rank-1 outcome both collapse
-    to |X|^2 times max_a |V[a, k]|^2 or Zr_kk.  S outcomes of one
-    multiplicity and R outcomes of one multiplicity are batched.
+    V_l* B_j T_k.  Both modes read ||X y_k||^2 for probe vectors y = V* z,
+    where y_k is the k block of y: the sampled trace is exactly that, and
+    the exact operator V_k X* X V_k* is positive semidefinite, so its
+    max-abs entry is its largest diagonal entry, the same norm over the
+    standard basis vectors z = e_a.  For a rank-1 outcome k the norm is
+    |X|^2 |y_k|^2, so the max over probes is taken before the product;
+    R outcomes of one multiplicity m > 1 form N_j[:, cols_k] @ y_k for
+    every probe, at O(d m) a probe.  S outcomes of one multiplicity and
+    R outcomes of one multiplicity are batched.
     """
     d, kr = len(r_basis[0]), len(r_basis)
-    v = np.hstack(r_basis)
-    vh = dagger(v)
+    vh = dagger(np.hstack(r_basis))
     starts = _offsets(r_basis)
     vu = vh @ np.hstack(s_targets)
     wt = dagger(np.hstack(s_basis)) @ np.hstack(r_targets)
-    if zs is None:
-        peak, best = np.max(np.abs(v) ** 2, axis=0), np.zeros(d, dtype=int)
-    else:
-        zr = vh @ zs @ v
-        diag = np.real(np.diagonal(zr, axis1=1, axis2=2))
-        peak, best = diag.max(axis=0), diag.argmax(axis=0)
-    # per R multiplicity m > 1, the factor that meets the blocks N_j[:, k]:
-    # V_k* (exact) or Zr_kk flattened (sampled); per_j counts the entries
-    # one S outcome's products hold
-    groups, per_j = [], d * d
-    for m, ks, cols in _multiplicity_groups(r_basis):
-        other = None
-        if m > 1 and zs is None:
-            other = vh[cols]
-            per_j += len(ks) * d * d
-        elif m > 1:
-            zkk = zr[:, cols[:, :, None], cols[:, None, :]]
-            other = np.moveaxis(zkk, 0, 1).reshape(len(ks), len(zs), m * m)
-            per_j += len(ks) * (d * m * m + len(zs) * kr)
-        groups.append((m, ks, cols, other))
+    # the probe vectors y = V* z as columns (d, probes)
+    ys = vh if zs is None else vh @ zs.T
+    weights = np.abs(ys) ** 2
+    peak, best = weights.max(axis=1), weights.argmax(axis=1)
+    groups = _multiplicity_groups(r_basis)
+    # entries one S outcome's products hold: N_j, and X y_k per probe for m > 1
+    per_j = d * d + sum(len(ks) * d * ys.shape[1] for m, ks, _ in groups if m > 1)
     res = np.empty((len(s_basis), kr, kr))
     state = np.zeros(res.shape, dtype=int)
     for _, js, s_cols in _multiplicity_groups(s_basis):
@@ -240,21 +243,16 @@ def _condition1(r_basis, r_targets, s_basis, s_targets, zs, tol) -> ConditionRes
             rows = np.abs(n) ** 2
             if kr < d:
                 rows = np.add.reduceat(rows, starts, axis=1)
-            for m, ks, cols, other in groups:
+            for m, ks, cols in groups:
                 at = np.ix_(js[part], ks)
                 if m == 1:
                     c = cols[:, 0]
                     res[at] = np.swapaxes(rows[:, :, c] * peak[c], 1, 2)
                     state[at] = best[c, None]
                     continue
-                y = np.moveaxis(n[:, :, cols], 2, 1)
-                if zs is None:
-                    res[at] = np.add.reduceat(np.abs(y @ other) ** 2, starts, axis=2).max(axis=3)
-                    continue
-                grams = np.add.reduceat(y[..., None, :] * y.conj()[..., :, None], starts, axis=2)
-                flat = np.swapaxes(grams, -1, -2).reshape(*grams.shape[:3], m * m)
-                traces = np.abs(np.real(other @ np.swapaxes(flat, -1, -2)))
-                res[at], state[at] = traces.max(axis=2), traces.argmax(axis=2)
+                x = np.moveaxis(n[:, :, cols], 2, 1)
+                norms = np.add.reduceat(np.abs(x @ ys[cols]) ** 2, starts, axis=2)
+                res[at], state[at] = norms.max(axis=3), norms.argmax(axis=3)
     if kr < 2:
         return _result(0.0, None, zs, tol)
     res[:, np.arange(kr), np.arange(kr)] = -1.0
@@ -268,30 +266,37 @@ def _condition2(r_basis, r_targets, s_basis, zs, tol) -> ConditionResult:
 
     Exact mode (``zs`` None) takes the worst |sum_k A_k* Pt_j A_k - Pt_j|
     over j, where the sum is V blockmask(T* Pt_j T) V*; sampled mode the
-    worst |Tr(Pt_j (Z' - Z))| over the states Z in ``zs``, where
-    Z' = sum_k A_k Z A_k* is T blockmask(V* Z V) T*.
+    worst |Tr(Pt_j (Z' - Z))| over the pure states Z = z z* of ``zs``,
+    where Z' = sum_k A_k Z A_k*.  With y = V* z that trace is
+    sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2, O(samples d^2) past the
+    overlap W* T; for rank-1 outcomes k the sum is one product
+    |W* T|^2 @ |y|^2.
     """
     v, t = np.hstack(r_basis), np.hstack(r_targets)
-    mask = np.zeros((len(v),) * 2, dtype=bool)
-    for lo, b in zip(_offsets(r_basis), r_basis):
-        mask[lo : lo + b.shape[1], lo : lo + b.shape[1]] = True
-    projs = [w @ dagger(w) for w in s_basis]
+    wh = dagger(np.hstack(s_basis))
+    wt = wh @ t
+    s_starts = _offsets(s_basis)
     if zs is None:
-        wt = dagger(np.hstack(s_basis)) @ t
+        mask = np.zeros((len(v),) * 2, dtype=bool)
+        for lo, b in zip(_offsets(r_basis), r_basis):
+            mask[lo : lo + b.shape[1], lo : lo + b.shape[1]] = True
         res = []
-        for lo, w, ptj in zip(_offsets(s_basis), s_basis, projs):
+        for lo, w in zip(s_starts, s_basis):
             c = wt[lo : lo + w.shape[1]]
-            res.append(max_abs(v @ ((dagger(c) @ c) * mask) @ dagger(v) - ptj))
+            res.append(max_abs(v @ ((dagger(c) @ c) * mask) @ dagger(v) - w @ dagger(w)))
         res, state = np.array(res), None
     else:
-        zr = dagger(v) @ zs @ v
-        zr *= mask
-        diff = t @ zr @ dagger(t)
-        diff -= zs
-        # Tr(Pt_j D) = sum_ab Pt_j[b, a] D[a, b], one product for every j
-        flat = np.stack(projs).transpose(0, 2, 1).reshape(len(projs), -1)
-        traces = np.abs(np.real(diff.reshape(len(zs), -1) @ flat.T))
-        res, state = traces.max(axis=0), traces.argmax(axis=0)
+        ys = dagger(v) @ zs.T
+        # per row of W* and per state: sum_k |W* T_k y_k|^2 - |W* z|^2
+        shift = -np.abs(wh @ zs.T) ** 2
+        for m, _, cols in _multiplicity_groups(r_basis):
+            if m == 1:
+                c = cols[:, 0]
+                shift += np.abs(wt[:, c]) ** 2 @ np.abs(ys[c]) ** 2
+            else:
+                shift += np.sum(np.abs(np.moveaxis(wt[:, cols], 1, 0) @ ys[cols]) ** 2, axis=0)
+        traces = np.abs(np.add.reduceat(shift, s_starts, axis=0))
+        res, state = traces.max(axis=1), traces.argmax(axis=1)
     (j,) = _last_max(res)
     i = None if zs is None else int(state[j])
     return _result(float(res[j]), (i, None, j, None), zs, tol)
@@ -308,7 +313,7 @@ def condition1_holds(
     """Does an interposed S-selection preserve certainty of repeating any R outcome?
 
     Exact mode evaluates the operator identity P_k Pt_j P_l Pt_j P_k = 0
-    (l != k); sampled mode measures Tr(Z_kj'' P_l) on seeded random
+    (l != k); sampled mode measures Tr(Z_kj'' P_l) on seeded random pure
     states.  The worst residual and where it occurred are returned.
     """
     _check_same_dim(r, s)
@@ -327,7 +332,7 @@ def condition2_holds(
     """Does a non-selective R-measurement leave every S outcome probability alone?
 
     Exact mode evaluates sum_k P_k Pt_j P_k = Pt_j; sampled mode compares
-    Tr(Pt_j Z') against Tr(Pt_j Z) on seeded random states.
+    Tr(Pt_j Z') against Tr(Pt_j Z) on seeded random pure states.
     """
     _check_same_dim(r, s)
     return _condition2(r.basis, r.basis, s.basis, _states(mode, r.dim, samples, seed), tol)

@@ -22,7 +22,6 @@ __all__ = [
     "dagger",
     "max_abs",
     "freeze",
-    "is_hermitian",
     "require_hermitian",
     "require_same_dim",
     "eig_hermitian",
@@ -74,11 +73,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-abs norm, the norm used by every tolerance check."""
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
-
-
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m)
-    return max_abs(m - dagger(m)) <= tol
 
 
 def require_hermitian(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:

@@ -4,19 +4,27 @@ The conditions are computed from basis blocks; these checks hold all four
 checks, in both modes, against the dense formulas they replace: the
 (j, k, l) loop over dense Kraus products A_k, B_j and projectors P_l.
 Pairs run over dimensions 2-16, simple, degenerate and mixed spectra,
-commuting and non-commuting.
+commuting and non-commuting.  Sampled mode draws pure states z; the dense
+references take them as the density operators z z*.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qmeasure.channels import make_theta_family, rotated_theta_family
+from qmeasure.channels import (
+    lueders_aggregate,
+    make_theta_family,
+    rotated_theta_family,
+    theta_aggregate,
+    theta_select,
+)
 from qmeasure.compatibility import (
     _random_state_batch,
     condition1_holds,
     condition2_holds,
     sector_rotated_family,
+    sequential_select,
     theta_condition1,
     theta_condition2,
     verdict_from_residual,
@@ -38,11 +46,14 @@ def _spectrum(kind, dim, rng):
 
 
 @st.composite
-def pairs(draw):
-    """(R, S, theta family of R, theta family of S) from drawn sizes."""
+def pairs(draw, kind_r=None):
+    """(R, S, theta family of R, theta family of S) from drawn sizes.
+
+    ``kind_r`` pins R's spectrum kind; by default it is drawn like S's.
+    """
     dim = draw(st.integers(2, 16))
     kinds = st.sampled_from(["simple", "degenerate", "mixed"])
-    kind_r, kind_s = draw(kinds), draw(kinds)
+    kind_r, kind_s = kind_r or draw(kinds), draw(kinds)
     commuting = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = random_unitary(dim, rng)
@@ -111,7 +122,10 @@ def _dense(r_ops, s_ops, r, s, zs):
 @given(pair=pairs())
 def test_residual_and_verdict_match_dense_reference(mode, pair):
     r, s, fam_r, fam_s = pair
-    zs = _random_state_batch(r.dim, SAMPLES, SEED) if mode == "sampled" else None
+    zs = None
+    if mode == "sampled":
+        z = _random_state_batch(r.dim, SAMPLES, SEED)
+        zs = np.einsum("si,sj->sij", z, z.conj())
     for name, check, r_ops, s_ops in _checks(r, s, fam_r, fam_s):
         got = check(mode)
         want = _dense(r_ops, s_ops, r, s, zs)
@@ -158,6 +172,31 @@ def test_sampled_witness_reproduces_residual(pair):
         else:
             chain = s_ops[w.j] @ r_ops[w.k]
             at = abs(np.trace(r.projectors[w.l] @ chain @ z @ dagger(chain)))
+        assert abs(at - res.residual) <= 1e-12, name
+
+
+@pytest.mark.parametrize("kind_r", ["simple", "degenerate"])
+@PROPERTY
+@given(data=st.data())
+def test_sampled_witness_is_pure_and_replays_through_channels(kind_r, data):
+    r, s, fam_r, fam_s = data.draw(pairs(kind_r))
+    if kind_r == "degenerate":
+        assume(r.outcome_count < r.dim)
+    replay = {
+        "condition1": lambda w: sequential_select(r, w.k, s, w.j, w.state),
+        "condition2": lambda w: np.asarray(lueders_aggregate(r, w.state)) - np.asarray(w.state),
+        "theta1": lambda w: theta_select(fam_s, w.j, theta_select(fam_r, w.k, w.state)),
+        "theta2": lambda w: np.asarray(theta_aggregate(fam_r, w.state)) - np.asarray(w.state),
+    }
+    for name, check, _, s_ops in _checks(r, s, fam_r, fam_s):
+        res = check("sampled")
+        w = res.witness
+        if w is None:
+            assert r.outcome_count == 1 and res.residual == 0.0
+            continue
+        assert abs(w.state.purity() - 1.0) <= 1e-12, name
+        readout = s.projectors[w.j] if s_ops is None else r.projectors[w.l]
+        at = abs(np.trace(readout @ np.asarray(replay[name](w))).real)
         assert abs(at - res.residual) <= 1e-12, name
 
 

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qmeasure.errors import BadArgument, DimMismatch, NotHermitian, NotOrthonormal, QMeasureError
 from qmeasure.linalg import (
+    _PHASE_FLOOR,
+    _fix_phases,
     as_matrix,
     cluster_eigenvalues,
     commutes,
@@ -154,6 +156,31 @@ def spectra(draw):
 def test_clusters_survive_rescaling(spectrum, factor):
     values, cluster_tol = spectrum
     assert cluster_eigenvalues(factor * values, cluster_tol) == cluster_eigenvalues(values, cluster_tol)
+
+
+@st.composite
+def near_floor_columns(draw):
+    """(columns, per-column phase angles): leading components just below or
+    just above the phase floor, then entries of order one."""
+    dim, count = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
+    factor = st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0))
+    for i in range(count):
+        lead = draw(st.lists(factor, max_size=dim - 1))
+        cols[: len(lead), i] = np.array(lead) * _PHASE_FLOOR * np.exp(2j * np.pi * rng.uniform(size=len(lead)))
+    return cols, rng.uniform(0.0, 2 * np.pi, count)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(near_floor_columns())
+def test_fixed_phases_ignore_the_input_phase(drawn):
+    cols, angles = drawn
+    fixed = _fix_phases(cols)
+    np.testing.assert_allclose(_fix_phases(cols * np.exp(1j * angles)), fixed, rtol=0, atol=1e-12)
+    for col in fixed.T:
+        lead = col[np.flatnonzero(np.abs(col) > _PHASE_FLOOR)[0]]
+        assert lead.real > 0 and abs(lead.imag) <= 1e-12 * abs(lead)
 
 
 class TestProjector:
