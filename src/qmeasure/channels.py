@@ -45,7 +45,7 @@ from .errors import (
     SubspaceViolation,
 )
 from .linalg import DEFAULT_TOL, dagger, freeze, max_abs
-from .observables import Observable
+from .observables import Observable, _labels
 from .states import DensityOperator, SubensembleState, state_matrix
 
 __all__ = [
@@ -118,6 +118,11 @@ def _branch(zm: np.ndarray, src: np.ndarray, dst: np.ndarray, dst_outer) -> np.n
     return dst.dot(src_h.dot(zm.dot(src))).dot(dst_h)
 
 
+def _rank1_outer(pair) -> np.ndarray | None:
+    """A simple pair's cached projector w w*, for ``_branch``; None otherwise."""
+    return pair.projector if pair.simple else None
+
+
 def born(obs: Observable, z, tol: float = DEFAULT_TOL) -> OutcomeDistribution:
     """Outcome distribution w_k = Tr(P_k Z) = Tr(B_k* Z B_k).
 
@@ -149,8 +154,7 @@ def lueders_select(obs: Observable, k: int, z) -> SubensembleState:
     """
     zm = _state_for(obs, z)
     pair = obs.pair(k)
-    b = obs.basis[k]
-    return SubensembleState(_sealed(_branch(zm, b, b, pair.projector)))
+    return SubensembleState(_sealed(_branch(zm, pair.basis, pair.basis, _rank1_outer(pair))))
 
 
 def lueders_aggregate(obs: Observable, z) -> DensityOperator:
@@ -161,8 +165,8 @@ def lueders_aggregate(obs: Observable, z) -> DensityOperator:
     """
     zm = _state_for(obs, z)
     out = np.zeros_like(zm)
-    for pair, b in zip(obs.pairs, obs.basis):
-        out += _branch(zm, b, b, pair.projector)
+    for pair in obs.pairs:
+        out += _branch(zm, pair.basis, pair.basis, _rank1_outer(pair))
     return DensityOperator(_sealed(out))
 
 
@@ -209,7 +213,7 @@ def _validated_blocks(obs: Observable, blocks, tol: float, subspace_error) -> li
         gram_dev = max_abs(dagger(b) @ b - np.eye(b.shape[1]))
         if gram_dev > tol:
             raise BadBasis(f"outcome {i}: basis not orthonormal, residual {gram_dev:.3e}")
-        sub_dev = max_abs(pair.projector @ b - b)
+        sub_dev = max_abs(b - pair.basis @ (dagger(pair.basis) @ b))
         if sub_dev > tol:
             raise subspace_error(
                 f"outcome {i}: basis leaves its eigenvalue subspace by {sub_dev:.3e}"
@@ -289,18 +293,13 @@ class ThetaFamily:
         return self.thetas[k]
 
     def residual(self) -> float:
-        """Worst deviation from the family's defining operator identities."""
-        worst = 0.0
-        projs = self.observable.projectors
-        for k, tk in enumerate(self.thetas):
-            for kp, tkp in enumerate(self.thetas):
-                expect = projs[k] if k == kp else np.zeros_like(tk)
-                worst = max(worst, max_abs(dagger(tk) @ tkp - expect))
-                worst = max(worst, max_abs(tkp @ dagger(tk) - (projs[k] if k == kp else 0)))
-            for kp, pair in enumerate(self.observable.pairs):
-                expect_t = tk if k == kp else np.zeros_like(tk)
-                worst = max(worst, max_abs(tk @ pair.projector - expect_t))
-        return worst
+        """Worst deviation from the family's defining operator identities,
+        which hold iff the targets side by side, T, have T*T = I and V*T is
+        block diagonal in the eigenbasis V."""
+        t = np.hstack(self.targets)
+        lab = _labels(self.observable)
+        leak = (dagger(self.observable.full_basis()) @ t)[lab[:, None] != lab]
+        return max(max_abs(dagger(t) @ t - np.eye(self.dim)), max_abs(leak))
 
 
 def make_theta_family(obs: Observable, target_bases, tol: float = DEFAULT_TOL) -> ThetaFamily:

@@ -81,12 +81,12 @@ def cmd_decompose(args, cfg: RunConfig, out) -> int:
         for i, p in enumerate(obs.pairs):
             print(f"eigenvalue.{i}={_fmt(p.eigenvalue)}", file=out)
             print(f"multiplicity.{i}={p.multiplicity}", file=out)
-            print(f"trace.{i}={_fmt(np.trace(p.projector).real)}", file=out)
+            print(f"trace.{i}={_fmt(np.vdot(p.basis, p.basis).real)}", file=out)
     else:
         print("eigenvalue multiplicity trace", file=out)
         for p in obs.pairs:
             print(
-                f"{_fmt(p.eigenvalue)} {p.multiplicity} {_fmt(np.trace(p.projector).real)}",
+                f"{_fmt(p.eigenvalue)} {p.multiplicity} {_fmt(np.vdot(p.basis, p.basis).real)}",
                 file=out,
             )
     return 0

@@ -362,7 +362,8 @@ def lemma_check(b, c, tol: float = DEFAULT_TOL) -> bool:
 def heisenberg_observable(r: Observable, u, tol: float = DEFAULT_TOL) -> Observable:
     """Conjugate an observable into the frame after evolution U: P_k -> U* P_k U.
 
-    Eigenvalues are untouched; only the projectors and basis rotate.
+    Eigenvalues are untouched; each basis block B_k rotates to U* B_k,
+    which is all of P_k -> U* P_k U, at O(d^2 m_k) per outcome.
     """
     um = as_matrix(u, "U")
     if um.shape[0] != r.dim:
@@ -371,16 +372,8 @@ def heisenberg_observable(r: Observable, u, tol: float = DEFAULT_TOL) -> Observa
     if dev > tol:
         raise NotUnitary(f"U deviates from unitarity by {dev:.3e}")
     ud = dagger(um)
-    pairs = tuple(
-        SpectralPair(
-            eigenvalue=p.eigenvalue,
-            projector=ud @ p.projector @ um,
-            multiplicity=p.multiplicity,
-        )
-        for p in r.pairs
-    )
-    basis = tuple(ud @ block for block in r.basis)
-    return Observable(dim=r.dim, pairs=pairs, basis=basis)
+    pairs = tuple(SpectralPair(p.eigenvalue, ud @ p.basis) for p in r.pairs)
+    return Observable(dim=r.dim, pairs=pairs)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, _relative_commutator, as_matrix, dagger, eig_hermitian, freeze, max_abs
 from .channels import lueders_select
-from .observables import Observable, reconstruct
+from .observables import Observable, _labels, reconstruct
 from .states import DensityOperator, random_density, state_matrix
 
 __all__ = [
@@ -132,22 +132,24 @@ def satisfies(z, n, tol: float = DEFAULT_TOL) -> SatisfactionResult:
 def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     """May r be measured on the constrained system?
 
-    True iff every projector of r commutes with every constraint.  The
-    full operator commutator [R, N] is checked as well, and the
-    conjunction of the two routes is returned.  Every commutator is
-    judged relative to scale, max|[A, N]| / (max|A| max|N|), so the
-    units of r and of N do not matter.
+    True iff every projector of r commutes with every constraint N, that
+    is iff V* N V is block diagonal in r's eigenbasis V, within tol max|N|.
+    The full commutator, max|[R, N]| / (max|R| max|N|), is checked as
+    well, and the conjunction of the two routes is returned; neither
+    depends on the units of r or of N.
     """
     ops = _operators(n)
     for op in ops:
         if op.shape[0] != r.dim:
             raise DimMismatch(f"constraint dim {op.shape[0]} vs observable dim {r.dim}")
     full = reconstruct(r)
+    v = r.full_basis()
+    lab = _labels(r)
     verdict = True
     for op in ops:
         op_norm = max_abs(op)
-        for p in r.projectors:
-            verdict = verdict and _relative_commutator(p, op, op_norm) <= tol
+        leak = max_abs((dagger(v) @ op @ v)[lab[:, None] != lab])
+        verdict = verdict and leak <= tol * op_norm
         verdict = verdict and _relative_commutator(full, op, op_norm) <= tol
     return verdict
 

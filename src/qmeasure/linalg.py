@@ -76,10 +76,13 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def require_hermitian(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+    """Check max|A - A*| <= tol * max(1, max|A|), relative to scale as in
+    ``cluster_eigenvalues``, so rounding passes in any units."""
     a = as_matrix(m, name)
     dev = max_abs(a - dagger(a))
-    if dev > tol:
-        raise NotHermitian(f"{name} deviates from its adjoint by {dev:.3e} (tol {tol:.1e})")
+    bound = tol * max(1.0, max_abs(a))
+    if dev > bound:
+        raise NotHermitian(f"{name} deviates from its adjoint by {dev:.3e} (bound {bound:.1e})")
     return a
 
 
@@ -152,7 +155,8 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     Parameters
     ----------
     m : array_like
-        Square matrix, Hermitian within ``tol`` (max-abs deviation).
+        Square matrix, Hermitian within ``tol`` relative to its scale
+        (see ``require_hermitian``).
     tol : float
         Hermiticity tolerance; also the relative gap used to detect
         degenerate groups.
@@ -160,22 +164,34 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     Raises
     ------
     NotHermitian
-        If ``m`` deviates from its adjoint by more than ``tol``.
+        If ``m`` deviates from its adjoint by more than
+        ``tol * max(1, max|m|)``.
     NoConvergence
         If the underlying solver fails to converge.
     """
-    a = require_hermitian(m, tol)
-    h = (a + dagger(a)) / 2.0
+    values, vectors = _eigh(require_hermitian(m, tol))
+    return EigenSystem(values=values, vectors=_settle(values, vectors, tol))
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and raw eigenvectors of the Hermitian part of ``a``."""
     try:
-        values, vectors = np.linalg.eigh(h)
+        values, vectors = np.linalg.eigh((a + dagger(a)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    return np.asarray(values, dtype=float), vectors
+
+
+def _settle(values: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
+    """Deterministic eigenvector columns: modified Gram-Schmidt within each
+    group of ``cluster_eigenvalues(values, tol)``, then fixed phases.  A run
+    of whole groups that holds the largest |value| settles to the same bits
+    on its own as among all columns."""
     vectors = np.array(vectors, dtype=complex)
     for group in cluster_eigenvalues(values, tol):
         if len(group) > 1:
             vectors[:, group] = _mgs(vectors[:, group])
-    vectors = _fix_phases(vectors)
-    return EigenSystem(values=np.asarray(values, dtype=float), vectors=vectors)
+    return _fix_phases(vectors)
 
 
 def cluster_eigenvalues(values, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[list[int]]:

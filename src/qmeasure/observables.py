@@ -1,17 +1,16 @@
-"""Hermitian observables kept in spectral form with a verified projector family.
+"""Hermitian observables in spectral form: eigenvalues with eigenspace bases.
 
-An Observable is the pair list (r_k, P_k) of distinct eigenvalues with their
-orthogonal projectors, plus a stored orthonormal eigenbasis grouped per
-eigenvalue.  The projector family always satisfies
-
-    P_j P_k = delta_jk P_k        (orthogonality)
-    sum_k P_k = identity          (completeness)
-
-within tolerance, whether the observable came from a decomposition or from
-an explicit pair list.
+An Observable is the ascending list of pairs (r_k, B_k) of its distinct
+eigenvalues, each with a d x m_k orthonormal block B_k spanning its
+eigenspace; the blocks are the only stored form.  Side by side they form
+a full eigenbasis V, and V*V = I is all that the projectors P_k = B_k B_k*
+(built on first use) need for P_j P_k = delta_jk P_k and sum_k P_k = I.
+Every check here works on stacked blocks, at O(d^3) once for any number
+of outcomes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +22,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
+    _eigh,
+    _settle,
     cluster_eigenvalues,
     dagger,
     eig_hermitian,
@@ -44,37 +45,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """One distinct eigenvalue with its projector; multiplicity = Tr P."""
+    """One distinct eigenvalue with a d x m orthonormal basis B of its
+    eigenspace; multiplicity m, projector B B* (built on first use, kept)."""
 
     eigenvalue: float
-    projector: np.ndarray
-    multiplicity: int
+    basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "projector", freeze(np.asarray(self.projector, dtype=complex)))
+        object.__setattr__(self, "basis", freeze(np.asarray(self.basis, dtype=complex)))
+
+    @property
+    def multiplicity(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def simple(self) -> bool:
         return self.multiplicity == 1
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        p = self.basis @ dagger(self.basis)
+        p.flags.writeable = False
+        return p
 
 
 @dataclass(frozen=True)
 class Observable:
     """Spectral form of a Hermitian operator.
 
-    ``pairs`` is ascending in eigenvalue.  ``basis[i]`` holds
-    ``pairs[i].multiplicity`` orthonormal eigenvector columns spanning the
-    range of ``pairs[i].projector``; together the blocks form a full
-    orthonormal eigenbasis.
+    ``pairs`` is ascending in eigenvalue, and their basis blocks together
+    form a full orthonormal eigenbasis; ``basis[i]`` is ``pairs[i].basis``.
     """
 
     dim: int
     pairs: tuple
-    basis: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        object.__setattr__(self, "basis", tuple(freeze(np.asarray(b, dtype=complex)) for b in self.basis))
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(p.basis for p in self.pairs)
 
     @property
     def eigenvalues(self) -> list:
@@ -104,29 +115,13 @@ class Observable:
         return np.hstack(self.basis)
 
 
-def _family_residuals(projectors, dim: int) -> tuple[float, float]:
-    """Max deviation from orthogonality and from completeness."""
-    ortho = 0.0
-    for j, pj in enumerate(projectors):
-        for k, pk in enumerate(projectors):
-            expect = pk if j == k else 0.0
-            ortho = max(ortho, max_abs(pj @ pk - expect))
-    complete = max_abs(sum(projectors) - np.eye(dim))
-    return ortho, complete
-
-
-def _check_family(pairs, dim: int, tol: float) -> None:
-    ortho, complete = _family_residuals([p.projector for p in pairs], dim)
-    if ortho > tol:
-        raise ValidationError(f"projector family not orthogonal, residual {ortho:.3e}")
-    if complete > tol:
-        raise ValidationError(f"projector family not complete, residual {complete:.3e}")
-    if sum(p.multiplicity for p in pairs) != dim:
-        raise ValidationError("multiplicities do not sum to the dimension")
+def _labels(obs: Observable) -> np.ndarray:
+    """The outcome index of each column of ``obs.full_basis()``."""
+    return np.repeat(np.arange(obs.outcome_count), obs.multiplicities)
 
 
 def spectral_decompose(m, cluster_tol: float = DEFAULT_CLUSTER_TOL, tol: float = DEFAULT_TOL) -> Observable:
-    """Decompose a Hermitian matrix into distinct eigenvalues and projectors.
+    """Decompose a Hermitian matrix into distinct eigenvalues and eigenspaces.
 
     Numerically equal eigenvalues are merged into one pair; the reported
     eigenvalue is the mean of the merged values, which minimizes the
@@ -134,87 +129,78 @@ def spectral_decompose(m, cluster_tol: float = DEFAULT_CLUSTER_TOL, tol: float =
     ``eig_hermitian``, so outputs are reproducible bit for bit.
     """
     eigsys = eig_hermitian(m, tol)
-    groups = cluster_eigenvalues(eigsys.values, cluster_tol)
-    pairs = []
-    basis = []
-    for group in groups:
-        block = eigsys.vectors[:, group]
-        value = float(np.mean(eigsys.values[group]))
-        pairs.append(
-            SpectralPair(
-                eigenvalue=value,
-                projector=block @ dagger(block),
-                multiplicity=len(group),
-            )
-        )
-        basis.append(block)
-    return Observable(dim=eigsys.dim, pairs=tuple(pairs), basis=tuple(basis))
+    pairs = tuple(
+        SpectralPair(float(np.mean(eigsys.values[group])), eigsys.vectors[:, group])
+        for group in cluster_eigenvalues(eigsys.values, cluster_tol)
+    )
+    return Observable(dim=eigsys.dim, pairs=pairs)
 
 
 def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
     """Build an Observable from explicit (eigenvalue, projector) pairs.
 
     The family is re-validated rather than trusted: each projector must be
-    Hermitian and idempotent, the family orthogonal and complete, and the
-    eigenvalues distinct.  A basis is derived from each projector's range.
+    Hermitian with eigenvalues 0 and 1 only and a non-empty range, the
+    eigenvalues distinct, and the range bases B_k side by side must form
+    a square B with B*B = I, which makes the family orthogonal and complete.
     """
-    items = []
-    for value, proj in pairs:
-        p = require_hermitian(proj, tol, "projector")
-        idem = max_abs(p @ p - p)
-        if idem > tol:
-            raise ValidationError(f"projector not idempotent, residual {idem:.3e}")
-        tr = float(np.trace(p).real)
-        mult = round(tr)
-        if mult < 1 or abs(tr - mult) > tol * max(1, p.shape[0]):
-            raise ValidationError(f"projector trace {tr!r} is not a positive integer")
-        items.append((float(value), p, mult))
-    items.sort(key=lambda it: it[0])
-    for (a, _, _), (b, _, _) in zip(items, items[1:]):
+    items = sorted(
+        ((float(v), require_hermitian(p, tol, "projector")) for v, p in pairs),
+        key=lambda it: it[0],
+    )
+    for (a, _), (b, _) in zip(items, items[1:]):
         if not (b > a):
             raise ValidationError(f"eigenvalues must be distinct, got {a!r} twice")
-    dim = require_same_dim(*(p for _, p, _ in items))
-    spairs = tuple(
-        SpectralPair(eigenvalue=v, projector=p, multiplicity=m) for v, p, m in items
-    )
-    _check_family(spairs, dim, tol)
-    basis = tuple(_range_basis(p, m, tol) for _, p, m in items)
-    return Observable(dim=dim, pairs=spairs, basis=basis)
+    dim = require_same_dim(*(p for _, p in items))
+    spairs = tuple(SpectralPair(v, _range_basis(p, tol)) for v, p in items)
+    full = np.hstack([pair.basis for pair in spairs])
+    if full.shape[1] != dim:
+        raise ValidationError("multiplicities do not sum to the dimension")
+    ortho = max_abs(dagger(full) @ full - np.eye(dim))
+    if ortho > tol:
+        raise ValidationError(f"projector family not orthogonal, residual {ortho:.3e}")
+    return Observable(dim=dim, pairs=spairs)
 
 
-def _range_basis(projector: np.ndarray, multiplicity: int, tol: float) -> np.ndarray:
-    """Deterministic orthonormal basis of a projector's range."""
-    eigsys = eig_hermitian(projector, tol)
-    cols = [i for i, v in enumerate(eigsys.values) if v > 0.5]
-    if len(cols) != multiplicity:
-        raise ValidationError(
-            f"projector range has dimension {len(cols)}, expected {multiplicity}"
-        )
-    return eigsys.vectors[:, cols]
+def _range_basis(p: np.ndarray, tol: float) -> np.ndarray:
+    """The columns of ``eig_hermitian(p).vectors`` with eigenvalue above 1/2,
+    bit for bit, with only those columns settled."""
+    values, vectors = _eigh(p)
+    first = int(np.searchsorted(values, 0.5, side="right"))
+    idem = max(max_abs(values[:first]), max_abs(values[first:] - 1.0))
+    if idem > tol:
+        raise ValidationError(f"projector not idempotent, residual {idem:.3e}")
+    if first == len(values):
+        raise ValidationError("projector has an empty range")
+    return _settle(values[first:], vectors[:, first:], tol)
 
 
 def reconstruct(obs: Observable) -> np.ndarray:
-    """Reassemble the matrix sum_k r_k P_k."""
-    out = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for p in obs.pairs:
-        out += p.eigenvalue * p.projector
-    return out
+    """Reassemble the matrix sum_k r_k P_k as one product (V r) V*."""
+    v = obs.full_basis()
+    r = np.repeat(obs.eigenvalues, obs.multiplicities)
+    return (v * r) @ dagger(v)
 
 
 def is_function_refinement(fine: Observable, coarse: Observable, tol: float = DEFAULT_TOL) -> bool:
     """True iff every coarse projector is a sum of fine projectors.
 
     Equivalently: coarse arises from fine by merging eigenvalues, so a
-    fine measurement is at the same time a coarse one.
+    fine measurement is at the same time a coarse one.  Fine outcome f
+    is assigned to coarse outcome c when Tr(P_c P_f), the block sum of
+    |V_c* V_f|^2, is at least m_f - 1/2.  Each coarse multiplicity must
+    be the sum of its assigned fine ones, and each assigned block must
+    lie in its coarse eigenspace: max|B_f - B_c (B_c* B_f)| within
+    ``tol * max(1, d)``.
     """
     if fine.dim != coarse.dim:
         raise DimMismatch(f"dimensions differ: {fine.dim} vs {coarse.dim}")
-    for cp in coarse.pairs:
-        total = np.zeros((coarse.dim, coarse.dim), dtype=complex)
-        for fp in fine.pairs:
-            overlap = float(np.trace(cp.projector @ fp.projector).real)
-            if overlap >= fp.multiplicity - 0.5:
-                total += fp.projector
-        if max_abs(total - cp.projector) > tol * max(1, coarse.dim):
-            return False
-    return True
+    vc, vf = coarse.full_basis(), fine.full_basis()
+    cross = dagger(vc) @ vf
+    c_lo, f_lo = (np.cumsum([0] + o.multiplicities[:-1]) for o in (coarse, fine))
+    overlaps = np.add.reduceat(np.add.reduceat(np.abs(cross) ** 2, c_lo, axis=0), f_lo, axis=1)
+    assigned = overlaps >= np.asarray(fine.multiplicities) - 0.5
+    if np.any(assigned @ fine.multiplicities != coarse.multiplicities):
+        return False
+    inside = cross * assigned[_labels(coarse)][:, _labels(fine)]
+    return max_abs(vf - vc @ inside) <= tol * max(1, coarse.dim)

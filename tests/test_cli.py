@@ -62,6 +62,16 @@ class TestDecompose:
         assert pairs["eigenvalue.1"] == "5.0"
         assert pairs["trace.1"] == "1.0"
 
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+    def test_large_scale_matrix_decomposes(self, put, scale):
+        # Hermitian up to rounding relative to its scale, not absolutely
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        m = (q * (scale * np.arange(1.0, 17.0))) @ q.conj().T
+        code, out, err = invoke(["decompose", put("big.txt", m)])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 17
+
     def test_global_flag_before_subcommand(self, put):
         code, out, _ = invoke(["--format", "machine", "decompose", put("m.txt", OBS225)])
         assert code == 0

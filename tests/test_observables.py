@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from qmeasure.errors import BadOutcomeIndex, DimMismatch, NotHermitian, ValidationError
 from qmeasure.linalg import dagger, max_abs, random_unitary
 from qmeasure.observables import (
+    Observable,
+    SpectralPair,
     is_function_refinement,
     observable_from_pairs,
     reconstruct,
@@ -106,6 +108,28 @@ def test_decompose_rejects_non_hermitian():
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+def test_rounding_asymmetry_is_hermitian_at_any_scale(scale):
+    # the unsymmetrized product u diag(v) u* is Hermitian only up to
+    # rounding, about 1.5e-8 absolute at 1e8, far above tol but tiny
+    # against the matrix's own scale
+    u = random_unitary(16, 5)
+    values = scale * np.arange(1.0, 17.0)
+    m = (u * values) @ dagger(u)
+    obs = spectral_decompose(m)
+    assert obs.outcome_count == 16
+    np.testing.assert_allclose(obs.eigenvalues, values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+def test_relative_anti_hermitian_part_is_rejected_at_any_scale(scale):
+    h = random_hermitian(16, 6)
+    g = random_hermitian(16, 7)
+    anti = 1j * g * (max_abs(h) / max_abs(g))
+    with pytest.raises(NotHermitian):
+        spectral_decompose(scale * (h + 1e-6 * anti))
+
+
 def test_basis_blocks_span_projectors():
     obs = spectral_decompose(degenerate_hermitian([1.0, 1.0, 3.0], 2))
     for block, pair in zip(obs.basis, obs.pairs):
@@ -173,6 +197,14 @@ class TestRefinement:
         fine = spectral_decompose(np.diag([1.0, -1.0]))
         coarse = spectral_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert not is_function_refinement(fine, coarse)
+
+    def test_tied_overlaps_do_not_double_count(self):
+        # sqrt(1/2)^2 rounds to 0.5000000000000001, so both X outcomes
+        # reach the m_f - 1/2 overlap threshold with both Z outcomes;
+        # X is still no refinement of Z
+        h = np.sqrt(0.5)
+        x = Observable(2, (SpectralPair(-1.0, [[h], [-h]]), SpectralPair(1.0, [[h], [h]])))
+        assert not is_function_refinement(x, spectral_decompose(np.diag([1.0, -1.0])))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
