@@ -44,7 +44,7 @@ from .errors import (
     InvalidState,
     SubspaceViolation,
 )
-from .linalg import DEFAULT_TOL, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _sealed, dagger, freeze, max_abs
 from .observables import Observable, _labels
 from .states import DensityOperator, SubensembleState, state_matrix
 
@@ -93,13 +93,6 @@ def _state_for(obs: Observable, z) -> np.ndarray:
     if m.shape[0] != obs.dim:
         raise DimMismatch(f"state dim {m.shape[0]} does not match observable dim {obs.dim}")
     return m
-
-
-def _sealed(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly computed array read-only, so that the frozen state
-    wrappers take it as it is instead of copying it."""
-    a.flags.writeable = False
-    return a
 
 
 def _branch(zm: np.ndarray, src: np.ndarray, dst: np.ndarray, dst_outer) -> np.ndarray:
@@ -255,14 +248,22 @@ class ThetaFamily:
     the same eigenspace, so
     Theta_k* Theta_k' = Theta_k' Theta_k* = delta_kk' P_k and
     Theta_k P_k' = delta_kk' Theta_k.  The dense Theta_k are built on
-    first use; the channels work from the blocks.
+    first use; the channels work from the blocks.  Construction checks
+    the block shapes only; ``make_theta_family`` checks their content.
     """
 
     observable: Observable
     targets: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(freeze(np.asarray(t, dtype=complex)) for t in self.targets))
+        targets = tuple(freeze(np.asarray(t, dtype=complex)) for t in self.targets)
+        obs = self.observable
+        if len(targets) != obs.outcome_count:
+            raise BadBasis(f"need one target block per outcome ({obs.outcome_count}), got {len(targets)}")
+        for k, (t, m) in enumerate(zip(targets, obs.multiplicities)):
+            if t.shape != (obs.dim, m):
+                raise BadBasis(f"outcome {k}: target block has shape {t.shape}, expected {(obs.dim, m)}")
+        object.__setattr__(self, "targets", targets)
 
     @property
     def dim(self) -> int:

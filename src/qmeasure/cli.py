@@ -146,6 +146,9 @@ def cmd_compat(args, cfg: RunConfig, out) -> int:
         print(f"c2_residual={_fmt(report.max_residual_c2)}", file=out)
         print(f"comm={_fmt_bool(report.verdict_commute)}", file=out)
         print(f"comm_residual={_fmt(report.commutator_residual)}", file=out)
+        print(f"indeterminate={','.join(report.indeterminate) or 'none'}", file=out)
+        at = report.witness or (None,) * 4
+        print("witness=" + ",".join("-" if i is None else str(i) for i in at[1:]), file=out)
     else:
         print(
             f"condition1 holds={_fmt_bool(report.verdict_condition1)} "

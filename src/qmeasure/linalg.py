@@ -47,6 +47,13 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly computed array read-only, so that ``freeze`` takes it
+    as it is instead of copying it."""
+    a.flags.writeable = False
+    return a
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square complex matrix.
 
@@ -118,39 +125,28 @@ class CommutationResult(NamedTuple):
     residual: float
 
 
-def _mgs(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt over the columns, in ascending column order."""
-    v = np.array(columns, dtype=complex)
-    for i in range(v.shape[1]):
-        for j in range(i):
-            v[:, i] -= v[:, j] * (v[:, j].conj() @ v[:, i])
-        norm = np.linalg.norm(v[:, i])
-        if norm < 1e-12:
-            raise NoConvergence("degenerate cluster collapsed during re-orthonormalization")
-        v[:, i] /= norm
-    return v
-
-
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible component is real positive."""
+    """Rotate each column so its first component above ``_PHASE_FLOOR`` in
+    magnitude (its largest one if none is) is real positive, in one pass
+    over the whole array; a zero column stays zero."""
     v = np.array(vectors, dtype=complex)
-    for i in range(v.shape[1]):
-        col = v[:, i]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_FLOOR)
-        lead = col[idx[0]] if idx.size else col[np.argmax(np.abs(col))]
-        if lead != 0:
-            v[:, i] = col * (lead.conjugate() / abs(lead))
+    mag = np.abs(v)
+    above = mag > _PHASE_FLOOR
+    rows = np.where(above.any(axis=0), above.argmax(axis=0), mag.argmax(axis=0))
+    lead = v[rows, np.arange(v.shape[1])]
+    size = np.abs(lead)
+    v *= lead.conj() / np.where(size > 0, size, 1.0)
     return v
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Eigendecompose a Hermitian matrix deterministically.
 
-    Eigenvalues come out ascending.  Within each numerically degenerate
-    group the vectors are re-orthonormalized by modified Gram-Schmidt in
-    ascending original-column order and every vector's phase is fixed so
-    that its first non-negligible component is real positive, so repeated
-    calls on identical input give identical output.
+    One LAPACK ``eigh`` of the Hermitian part gives ascending eigenvalues
+    and orthonormal eigenvectors (in a degenerate group, the solver's own
+    basis of the eigenspace); ``_fix_phases`` then makes each vector's
+    first component above ``_PHASE_FLOOR`` real positive.  The solver is
+    deterministic, so identical input gives identical output bit for bit.
 
     Parameters
     ----------
@@ -158,8 +154,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
         Square matrix, Hermitian within ``tol`` relative to its scale
         (see ``require_hermitian``).
     tol : float
-        Hermiticity tolerance; also the relative gap used to detect
-        degenerate groups.
+        Hermiticity tolerance.
 
     Raises
     ------
@@ -170,7 +165,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
         If the underlying solver fails to converge.
     """
     values, vectors = _eigh(require_hermitian(m, tol))
-    return EigenSystem(values=values, vectors=_settle(values, vectors, tol))
+    return EigenSystem(values=_sealed(values), vectors=_sealed(_fix_phases(vectors)))
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,16 +177,18 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(values, dtype=float), vectors
 
 
-def _settle(values: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Deterministic eigenvector columns: modified Gram-Schmidt within each
-    group of ``cluster_eigenvalues(values, tol)``, then fixed phases.  A run
-    of whole groups that holds the largest |value| settles to the same bits
-    on its own as among all columns."""
-    vectors = np.array(vectors, dtype=complex)
-    for group in cluster_eigenvalues(values, tol):
-        if len(group) > 1:
-            vectors[:, group] = _mgs(vectors[:, group])
-    return _fix_phases(vectors)
+def _cluster_ranges(values, cluster_tol: float) -> list:
+    """(start, stop) of each group of ``cluster_eigenvalues``."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1:
+        raise BadArgument("values must be one-dimensional")
+    gaps = np.diff(vals)
+    if (gaps < 0).any():
+        raise BadArgument("values must be sorted ascending")
+    gap_tol = cluster_tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    # ~(<=) rather than >, so that a NaN gap starts a new group
+    bounds = [0, *(np.flatnonzero(~(gaps <= gap_tol)) + 1).tolist(), vals.size]
+    return list(zip(bounds, bounds[1:])) if vals.size else []
 
 
 def cluster_eigenvalues(values, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[list[int]]:
@@ -203,22 +200,7 @@ def cluster_eigenvalues(values, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> lis
     largest magnitude is at least 1 leaves its clusters as they are.  The
     returned groups are disjoint, cover every index, and preserve order.
     """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1:
-        raise BadArgument("values must be one-dimensional")
-    if not vals.size:
-        return []
-    gaps = np.diff(vals)
-    if np.any(gaps < 0):
-        raise BadArgument("values must be sorted ascending")
-    gap_tol = cluster_tol * max(1.0, float(np.max(np.abs(vals))))
-    groups = [[0]]
-    for i, gap in enumerate(gaps, start=1):
-        if gap <= gap_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    return [list(range(a, b)) for a, b in _cluster_ranges(values, cluster_tol)]
 
 
 def _columns(vectors) -> np.ndarray:
@@ -283,6 +265,9 @@ def random_unitary(dim: int, rng) -> np.ndarray:
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    if dim == 1:
+        # a Haar phase; the same draws keep the generator's stream as it was
+        return g / np.abs(g)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

@@ -22,9 +22,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
+    _cluster_ranges,
     _eigh,
-    _settle,
-    cluster_eigenvalues,
+    _fix_phases,
+    _sealed,
     dagger,
     eig_hermitian,
     freeze,
@@ -64,9 +65,7 @@ class SpectralPair:
 
     @cached_property
     def projector(self) -> np.ndarray:
-        p = self.basis @ dagger(self.basis)
-        p.flags.writeable = False
-        return p
+        return _sealed(self.basis @ dagger(self.basis))
 
 
 @dataclass(frozen=True)
@@ -123,15 +122,18 @@ def _labels(obs: Observable) -> np.ndarray:
 def spectral_decompose(m, cluster_tol: float = DEFAULT_CLUSTER_TOL, tol: float = DEFAULT_TOL) -> Observable:
     """Decompose a Hermitian matrix into distinct eigenvalues and eigenspaces.
 
-    Numerically equal eigenvalues are merged into one pair; the reported
-    eigenvalue is the mean of the merged values, which minimizes the
-    reconstruction error.  The stored basis is the deterministic one from
-    ``eig_hermitian``, so outputs are reproducible bit for bit.
+    Numerically equal eigenvalues (``cluster_eigenvalues``) are merged into
+    one pair; the reported eigenvalue is the mean of the merged values,
+    which minimizes the reconstruction error.  Clusters are contiguous, so
+    each basis block is one copy of a column range of the deterministic
+    eigenbasis from ``eig_hermitian``, and outputs are reproducible bit for
+    bit.
     """
     eigsys = eig_hermitian(m, tol)
+    vals, vecs = eigsys.values, eigsys.vectors
     pairs = tuple(
-        SpectralPair(float(np.mean(eigsys.values[group])), eigsys.vectors[:, group])
-        for group in cluster_eigenvalues(eigsys.values, cluster_tol)
+        SpectralPair(float(vals[a]) if b - a == 1 else float(np.mean(vals[a:b])), _sealed(vecs[:, a:b].copy()))
+        for a, b in _cluster_ranges(vals, cluster_tol)
     )
     return Observable(dim=eigsys.dim, pairs=pairs)
 
@@ -163,8 +165,7 @@ def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
 
 
 def _range_basis(p: np.ndarray, tol: float) -> np.ndarray:
-    """The columns of ``eig_hermitian(p).vectors`` with eigenvalue above 1/2,
-    bit for bit, with only those columns settled."""
+    """The columns of ``eig_hermitian(p).vectors`` with eigenvalue above 1/2, bit for bit."""
     values, vectors = _eigh(p)
     first = int(np.searchsorted(values, 0.5, side="right"))
     idem = max(max_abs(values[:first]), max_abs(values[first:] - 1.0))
@@ -172,7 +173,7 @@ def _range_basis(p: np.ndarray, tol: float) -> np.ndarray:
         raise ValidationError(f"projector not idempotent, residual {idem:.3e}")
     if first == len(values):
         raise ValidationError("projector has an empty range")
-    return _settle(values[first:], vectors[:, first:], tol)
+    return _fix_phases(vectors)[:, first:]
 
 
 def reconstruct(obs: Observable) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from qmeasure.channels import (
     WEIGHT_FLOOR,
+    ThetaFamily,
     born,
     lueders_aggregate,
     lueders_select,
@@ -295,3 +296,29 @@ class TestThetaFamily:
         b = rotated_theta_family(OBS225, 3)
         for ta, tb in zip(a.thetas, b.thetas):
             assert np.array_equal(ta, tb)
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            # one vector for the doubly degenerate eigenvalue 1 of diag(1, 1, 2)
+            (np.eye(3)[:, :1], np.eye(3)[:, 2:]),
+            # one block short, and one too many
+            (np.eye(3)[:, :2],),
+            (np.eye(3)[:, :2], np.eye(3)[:, 2:], np.eye(3)[:, 2:]),
+            # vectors of the wrong dimension
+            (np.eye(4)[:, :2], np.eye(4)[:, 2:3]),
+        ],
+    )
+    def test_direct_construction_checks_block_shapes(self, targets):
+        # ThetaFamily built without make_theta_family: a wrong block is a
+        # BadBasis (exit 3) at once, not an IndexError in residual() or a
+        # ValueError in theta_select
+        obs = spectral_decompose(np.diag([1.0, 1.0, 2.0]))
+        with pytest.raises(BadBasis) as info:
+            ThetaFamily(observable=obs, targets=targets)
+        assert info.value.exit_code == 3
+
+    def test_direct_construction_accepts_right_shapes(self):
+        fam = ThetaFamily(observable=OBS225, targets=OBS225.basis)
+        assert fam.residual() <= 1e-15
+        validate(theta_aggregate(fam, PSI3))

@@ -243,6 +243,39 @@ class TestCompat:
         assert float(pairs["c1_residual"]) > 0.2
         assert float(pairs["comm_residual"]) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["both", "exact", "sampled"])
+    def test_machine_witness_and_indeterminate(self, put, mode):
+        # the worst case of Z/X is condition 2, whose witness names only
+        # the S outcome j; k and l print as "-"
+        argv = ["compat", "--format", "machine", "--mode", mode, "--r", put("r.txt", SZ)]
+        code, out, err = invoke(argv + ["--s", put("s.txt", SX)])
+        assert code == 0 and err == ""
+        pairs = dict(line.split("=", 1) for line in out.splitlines()[:-1])
+        assert pairs["indeterminate"] == "none"
+        k, j, l = pairs["witness"].split(",")
+        assert (k, l) == ("-", "-") and j in ("0", "1")
+        # a commuting pair: every verdict decisive, every index present
+        code, out, _ = invoke(argv + ["--s", put("c.txt", np.diag([3.0, 7.0]))])
+        assert code == 0
+        pairs = dict(line.split("=", 1) for line in out.splitlines()[:-1])
+        assert pairs["indeterminate"] == "none"
+        assert all(i.isdigit() for i in pairs["witness"].split(","))
+
+    def test_machine_names_indeterminate_checks(self, put):
+        # S = Z + 1e-9 X sits inside the guard band (tol/10, 10 tol) on
+        # condition 2 and the commutator, while condition 1 holds
+        near = SZ + 1e-9 * SX
+        code, out, _ = invoke(
+            ["compat", "--format", "machine", "--r", put("r.txt", SZ), "--s", put("s.txt", near)]
+        )
+        assert code == 0
+        pairs = dict(line.split("=", 1) for line in out.splitlines()[:-1])
+        assert pairs["indeterminate"] == "condition2,commutator"
+        # the text format keeps its own line and gains no machine keys
+        code, text, _ = invoke(["compat", "--r", put("r.txt", SZ), "--s", put("s.txt", near)])
+        assert "indeterminate: condition2 commutator" in text.splitlines()
+        assert "witness" not in text
+
     def test_evolution_file_changes_verdict(self, put):
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         code, out, _ = invoke(

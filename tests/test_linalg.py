@@ -256,6 +256,22 @@ class TestRandomUnitary:
     def test_seed_reproducible(self):
         assert np.array_equal(random_unitary(4, 3), random_unitary(4, 3))
 
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_dim_one_keeps_the_stream(self, seed):
+        # dim 1 is the phase g/|g| with no QR, drawn from the same two
+        # normals, so the generator and every later draw are unchanged
+        def qr_unitary(dim, rng):
+            g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(g)
+            return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        phase, ref_phase = random_unitary(1, rng), qr_unitary(1, ref)
+        assert phase.shape == (1, 1) and abs(abs(phase[0, 0]) - 1.0) <= 1e-15
+        assert abs(phase[0, 0] - ref_phase[0, 0]) <= 1e-15
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(random_unitary(3, rng), qr_unitary(3, ref))
+
     def test_generator_advances(self):
         rng = np.random.default_rng(0)
         a = random_unitary(3, rng)
