@@ -21,7 +21,9 @@ Every rule is one Kraus operator per branch of the form T B*, with B the
 d x m block of stored eigenvectors of the branch and T a d x m target
 block: T = B for Lueders, the target basis for theta, and one eigenvector
 (m = 1) per branch for von Neumann.  All of them go through one kernel,
-T (B* Z B) T*, so nothing multiplies a state by a dense projector.
+T (B* Z B) T*, computed from the blocks every time: nothing multiplies a
+state by a dense projector, and no d x d array is kept on an observable
+or a theta family.
 
 Cost model: one branch costs O(d^2 m_k), for an outcome of multiplicity
 m_k; a Born weight Tr(B* Z B) costs the same and makes no d x d product.
@@ -32,7 +34,6 @@ Outputs are never silently renormalized; use ``normalize`` explicitly.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
     InvalidState,
     SubspaceViolation,
 )
-from .linalg import DEFAULT_TOL, _sealed, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _columns, _sealed, dagger, freeze, max_abs
 from .observables import Observable, _labels
 from .states import DensityOperator, SubensembleState, state_matrix
 
@@ -95,25 +96,25 @@ def _state_for(obs: Observable, z) -> np.ndarray:
     return m
 
 
-def _branch(zm: np.ndarray, src: np.ndarray, dst: np.ndarray, dst_outer) -> np.ndarray:
-    """One branch dst (src* Z src) dst*, for d x m blocks of orthonormal columns.
+def _branch(zm: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One branch T (B* Z B) T*, for d x m blocks B = ``src`` and T = ``dst``
+    of orthonormal columns.
 
-    Costs O(d^2 m) and never multiplies Z by a d x d operator.  A simple
-    outcome (m = 1) takes the rank-1 form (v* Z v) w w*, with the caller's
-    ``dst_outer`` = w w* (unused when m > 1).  The same inputs always give
-    the same bits, which is what makes an aggregate the exact in-order sum
-    of its selective branches.
+    Costs O(d^2 m), for every m, and never multiplies Z by a d x d
+    operator.  The same inputs always give the same bits, which is what
+    makes an aggregate the exact in-order sum of its selective branches.
     """
-    if src.shape[1] == 1:
-        return np.vdot(src, zm.dot(src)) * dst_outer
     src_h = dagger(src)
     dst_h = src_h if dst is src else dagger(dst)
     return dst.dot(src_h.dot(zm.dot(src))).dot(dst_h)
 
 
-def _rank1_outer(pair) -> np.ndarray | None:
-    """A simple pair's cached projector w w*, for ``_branch``; None otherwise."""
-    return pair.projector if pair.simple else None
+def _aggregate(zm: np.ndarray, sources, targets) -> DensityOperator:
+    """The in-order sum of ``_branch`` over paired source and target blocks."""
+    out = np.zeros_like(zm)
+    for src, dst in zip(sources, targets):
+        out += _branch(zm, src, dst)
+    return DensityOperator(_sealed(out))
 
 
 def born(obs: Observable, z, tol: float = DEFAULT_TOL) -> OutcomeDistribution:
@@ -146,8 +147,8 @@ def lueders_select(obs: Observable, k: int, z) -> SubensembleState:
     positive and Hermitian, and a pure input stays pure.
     """
     zm = _state_for(obs, z)
-    pair = obs.pair(k)
-    return SubensembleState(_sealed(_branch(zm, pair.basis, pair.basis, _rank1_outer(pair))))
+    b = obs.pair(k).basis
+    return SubensembleState(_sealed(_branch(zm, b, b)))
 
 
 def lueders_aggregate(obs: Observable, z) -> DensityOperator:
@@ -156,11 +157,7 @@ def lueders_aggregate(obs: Observable, z) -> DensityOperator:
     Computed as the in-order sum of the selective branches, so it equals
     that sum exactly, not merely within tolerance.
     """
-    zm = _state_for(obs, z)
-    out = np.zeros_like(zm)
-    for pair in obs.pairs:
-        out += _branch(zm, pair.basis, pair.basis, _rank1_outer(pair))
-    return DensityOperator(_sealed(out))
+    return _aggregate(_state_for(obs, z), obs.basis, obs.basis)
 
 
 def normalize(state, floor: float = WEIGHT_FLOOR) -> DensityOperator:
@@ -176,21 +173,6 @@ def normalize(state, floor: float = WEIGHT_FLOOR) -> DensityOperator:
     return DensityOperator(_sealed(m / tr))
 
 
-def _as_block(vectors, dim: int, what: str) -> np.ndarray:
-    a = np.asarray(vectors, dtype=complex)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if a.ndim != 2 or a.shape[0] != dim:
-        # allow a sequence of vectors as rows of a list, stacked to columns
-        try:
-            a = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-        except Exception:
-            raise BadBasis(f"{what}: expected {dim}-dimensional column vectors") from None
-    if a.shape[0] != dim:
-        raise BadBasis(f"{what}: vectors live in dim {a.shape[0]}, expected {dim}")
-    return a
-
-
 def _validated_blocks(obs: Observable, blocks, tol: float, subspace_error) -> list:
     if len(blocks) != obs.outcome_count:
         raise BadBasis(
@@ -198,7 +180,9 @@ def _validated_blocks(obs: Observable, blocks, tol: float, subspace_error) -> li
         )
     out = []
     for i, (pair, block) in enumerate(zip(obs.pairs, blocks)):
-        b = _as_block(block, obs.dim, f"outcome {i}")
+        b = _columns(block, BadBasis)
+        if b.shape[0] != obs.dim:
+            raise BadBasis(f"outcome {i}: vectors live in dim {b.shape[0]}, expected {obs.dim}")
         if b.shape[1] != pair.multiplicity:
             raise BadBasis(
                 f"outcome {i}: {b.shape[1]} vectors for a multiplicity-{pair.multiplicity} eigenvalue"
@@ -225,18 +209,12 @@ def von_neumann_aggregate(obs: Observable, z, basis_choice=None, tol: float = DE
     """
     zm = _state_for(obs, z)
     blocks = (
-        list(obs.basis)
+        obs.basis
         if basis_choice is None
         else _validated_blocks(obs, list(basis_choice), tol, BadBasis)
     )
-    out = np.zeros_like(zm)
-    for pair, block in zip(obs.pairs, blocks):
-        for s in range(block.shape[1]):
-            ray = block[:, s : s + 1]
-            # the one ray of a stored simple block spans the outcome's projector
-            outer = pair.projector if basis_choice is None and pair.simple else ray.dot(dagger(ray))
-            out += _branch(zm, ray, ray, outer)
-    return DensityOperator(_sealed(out))
+    rays = [b[:, s : s + 1] for b in blocks for s in range(b.shape[1])]
+    return _aggregate(zm, rays, rays)
 
 
 @dataclass(frozen=True)
@@ -247,9 +225,10 @@ class ThetaFamily:
     eigenspace onto the target orthonormal block T_k (``targets[k]``) of
     the same eigenspace, so
     Theta_k* Theta_k' = Theta_k' Theta_k* = delta_kk' P_k and
-    Theta_k P_k' = delta_kk' Theta_k.  The dense Theta_k are built on
-    first use; the channels work from the blocks.  Construction checks
-    the block shapes only; ``make_theta_family`` checks their content.
+    Theta_k P_k' = delta_kk' Theta_k.  The dense Theta_k are built when
+    asked for and not kept; the channels work from the blocks.
+    Construction checks the block shapes only; ``make_theta_family``
+    checks their content.
     """
 
     observable: Observable
@@ -273,17 +252,10 @@ class ThetaFamily:
     def outcome_count(self) -> int:
         return len(self.targets)
 
-    @cached_property
+    @property
     def thetas(self) -> tuple:
-        """The dense operators Theta_k = T_k B_k*, in outcome order."""
-        return tuple(
-            _sealed(t @ dagger(b)) for t, b in zip(self.targets, self.observable.basis)
-        )
-
-    @cached_property
-    def _rank1_outers(self) -> tuple:
-        """T_k T_k* for each simple outcome (None elsewhere), for ``_branch``."""
-        return tuple(_sealed(t.dot(dagger(t))) if t.shape[1] == 1 else None for t in self.targets)
+        """The dense operators Theta_k = T_k B_k*, in outcome order, built anew."""
+        return tuple(self.theta(k) for k in range(self.outcome_count))
 
     def _check_index(self, k: int) -> None:
         if not (0 <= k < len(self.targets)):
@@ -291,7 +263,7 @@ class ThetaFamily:
 
     def theta(self, k: int) -> np.ndarray:
         self._check_index(k)
-        return self.thetas[k]
+        return _sealed(self.targets[k] @ dagger(self.observable.basis[k]))
 
     def residual(self) -> float:
         """Worst deviation from the family's defining operator identities,
@@ -338,14 +310,9 @@ def theta_select(fam: ThetaFamily, k: int, z) -> SubensembleState:
     """
     zm = _state_for(fam.observable, z)
     fam._check_index(k)
-    branch = _branch(zm, fam.observable.basis[k], fam.targets[k], fam._rank1_outers[k])
-    return SubensembleState(_sealed(branch))
+    return SubensembleState(_sealed(_branch(zm, fam.observable.basis[k], fam.targets[k])))
 
 
 def theta_aggregate(fam: ThetaFamily, z) -> DensityOperator:
     """Non-selective generalized update sum_k Theta_k Z Theta_k*."""
-    zm = _state_for(fam.observable, z)
-    out = np.zeros_like(zm)
-    for b, t, outer in zip(fam.observable.basis, fam.targets, fam._rank1_outers):
-        out += _branch(zm, b, t, outer)
-    return DensityOperator(_sealed(out))
+    return _aggregate(_state_for(fam.observable, z), fam.observable.basis, fam.targets)

@@ -395,13 +395,20 @@ class CompatReport:
     indeterminate: tuple
 
 
+def _at(res: ConditionResult) -> str:
+    """A route's residual with its witness (k, j, l), for error messages."""
+    at = res.witness or (None,) * 4
+    return f"{res.residual:.3e} at (k, j, l) = ({', '.join('-' if i is None else str(i) for i in at[1:])})"
+
+
 def _cross_check(name: str, results, tol: float) -> None:
     verdicts = {verdict_from_residual(res.residual, tol) for res in results}
     verdicts.discard(INDETERMINATE)
     if len(verdicts) > 1:
         raise VerdictDisagreement(
-            f"{name}: exact and sampled routes disagree decisively "
-            f"(residuals {[res.residual for res in results]})"
+            f"{name}: exact and sampled routes disagree decisively ("
+            + ", ".join(f"{m} {_at(res)}" for m, res in zip(_MODES, results))
+            + ")"
         )
 
 
@@ -452,7 +459,7 @@ def compat_report(
         raise VerdictDisagreement(
             "three-way disagreement: "
             + ", ".join(f"{name}={verdict}" for name, verdict in labeled.items())
-            + f" (residuals c1={c1.residual:.3e}, c2={c2.residual:.3e}, comm={comm:.3e})"
+            + f" (residuals c1={_at(c1)}, c2={_at(c2)}, comm={comm:.3e})"
         )
     witness = max((c1, c2), key=lambda res: res.residual).witness
     return CompatReport(

@@ -203,21 +203,31 @@ def cluster_eigenvalues(values, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> lis
     return [list(range(a, b)) for a, b in _cluster_ranges(values, cluster_tol)]
 
 
-def _columns(vectors) -> np.ndarray:
-    """Accept a (dim, k) array or a sequence of k vectors; return columns."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        return np.asarray(vectors, dtype=complex)
-    cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if not cols:
-        raise BadArgument("need at least one vector")
-    return np.column_stack(cols)
+def _columns(vectors, error=BadArgument) -> np.ndarray:
+    """Read vectors as the columns of one array, by one rule: a 2-D ndarray
+    is its columns, a 1-D array (or list of numbers) is one vector, and any
+    other sequence is a list of vectors.  Anything else, or vectors with
+    no components, raises ``error``."""
+    try:
+        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+            cols = np.asarray(vectors, dtype=complex)
+        elif np.ndim(vectors) == 1:
+            cols = np.asarray(vectors, dtype=complex).reshape(-1, 1)
+        else:
+            cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    except (TypeError, ValueError):
+        raise error("expected a 2-D array of columns, one vector or a sequence of vectors") from None
+    if cols.shape[0] == 0:
+        raise error("need at least one vector with at least one component")
+    return cols
 
 
 def projector_from_basis(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of an orthonormal family.
 
-    ``vectors`` is either a (dim, k) array of columns or a sequence of k
-    vectors.  The result is Hermitian, idempotent, and has trace k.
+    ``vectors`` is a (dim, k) array of columns, one vector, or a sequence
+    of k vectors (read by ``_columns``).  The result is Hermitian,
+    idempotent, and has trace k.
 
     Raises
     ------

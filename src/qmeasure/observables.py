@@ -4,7 +4,8 @@ An Observable is the ascending list of pairs (r_k, B_k) of its distinct
 eigenvalues, each with a d x m_k orthonormal block B_k spanning its
 eigenspace; the blocks are the only stored form.  Side by side they form
 a full eigenbasis V, and V*V = I is all that the projectors P_k = B_k B_k*
-(built on first use) need for P_j P_k = delta_jk P_k and sum_k P_k = I.
+(built when asked for, never kept) need for P_j P_k = delta_jk P_k and
+sum_k P_k = I.
 Every check here works on stacked blocks, at O(d^3) once for any number
 of outcomes.
 """
@@ -47,7 +48,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SpectralPair:
     """One distinct eigenvalue with a d x m orthonormal basis B of its
-    eigenspace; multiplicity m, projector B B* (built on first use, kept)."""
+    eigenspace; the multiplicity m and the projector B B* are derived from
+    B each time they are read, and only B is stored."""
 
     eigenvalue: float
     basis: np.ndarray
@@ -63,7 +65,7 @@ class SpectralPair:
     def simple(self) -> bool:
         return self.multiplicity == 1
 
-    @cached_property
+    @property
     def projector(self) -> np.ndarray:
         return _sealed(self.basis @ dagger(self.basis))
 

@@ -1,5 +1,8 @@
 """Measurement channels: Born weights, both update rules, theta families."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,8 @@ PSI3 = from_pure(np.ones(3) / np.sqrt(3.0))
 Z_OBS = spectral_decompose(np.diag([1.0, -1.0]))
 ID2 = spectral_decompose(np.eye(2))
 PLUS = from_pure([1.0, 1.0])
+# the sigma_y eigenvectors (1, i)/sqrt(2) and (1, -i)/sqrt(2)
+Y_PLUS_MINUS = np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2.0)
 
 
 class TestBorn:
@@ -190,6 +195,16 @@ class TestVonNeumann:
         default = von_neumann_aggregate(OBS225, PSI3)
         assert max_abs(out.matrix - default.matrix) > 0.1
 
+    def test_basis_choice_list_is_read_as_vectors(self):
+        # a block given as a list of as many vectors as the dimension is
+        # still a list of vectors, not the rows of a matrix: the state
+        # along the first chosen vector is diagonal in the chosen basis
+        obs = spectral_decompose(3.0 * np.eye(2))
+        v1, v2 = Y_PLUS_MINUS
+        z = from_pure(v1)
+        out = von_neumann_aggregate(obs, z, basis_choice=[[v1, v2]])
+        np.testing.assert_allclose(out.matrix, z.matrix, atol=1e-15)
+
     def test_rejects_wrong_block_count(self):
         with pytest.raises(BadBasis):
             von_neumann_aggregate(OBS225, PSI3, basis_choice=[np.eye(3)])
@@ -286,6 +301,14 @@ class TestThetaFamily:
         with pytest.raises(SubspaceViolation):
             make_theta_family(OBS225, bad)
 
+    def test_target_list_is_read_as_vectors(self):
+        # [[v1, v2]] on a 2-fold eigenvalue of a 2-level system names the
+        # targets v1 and v2, the same as with fewer vectors than components
+        obs = spectral_decompose(3.0 * np.eye(2))
+        v1, v2 = Y_PLUS_MINUS
+        fam = make_theta_family(obs, [[v1, v2]])
+        np.testing.assert_array_equal(fam.targets[0], np.column_stack([v1, v2]))
+
     def test_theta_index_bounds(self):
         fam = rotated_theta_family(OBS225, 0)
         with pytest.raises(BadOutcomeIndex):
@@ -322,3 +345,26 @@ class TestThetaFamily:
         fam = ThetaFamily(observable=OBS225, targets=OBS225.basis)
         assert fam.residual() <= 1e-15
         validate(theta_aggregate(fam, PSI3))
+
+
+def test_channels_keep_no_dense_arrays():
+    # the channels work from the basis blocks and keep nothing d x d on
+    # the observable or the theta family; reading the projectors builds
+    # them for the caller only
+    dim = 64
+    obs = degenerate_observable(np.arange(1.0, dim + 1.0), 0)
+    fam = rotated_theta_family(obs, 1)
+    z = random_density(dim, dim, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lueders_aggregate(obs, z)
+        theta_aggregate(fam, z)
+        von_neumann_aggregate(obs, z)
+        obs.projectors
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert obs.outcome_count == dim
+    assert retained < 4 * dim * dim * 16, f"{retained} bytes retained"

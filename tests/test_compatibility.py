@@ -1,5 +1,7 @@
 """Compatibility conditions, the lemma, frame changes, and theta variants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from qmeasure.compatibility import (
     HOLDS,
     INDETERMINATE,
     ConditionResult,
+    Witness,
     compat_report,
     condition1_holds,
     condition2_holds,
@@ -233,6 +236,39 @@ class TestCompatReport:
 
 def _decisive_failure(*args):
     return ConditionResult(False, 0.5, FAILS, None)
+
+
+def _decisive_failure_at(k, j, l, exact_only=False):
+    """A condition 1 route failing decisively at (k, j, l); with
+    ``exact_only`` the sampled route holds at (0, 0, 0) instead."""
+
+    def route(r_basis, r_targets, s_basis, s_targets, zs, tol):
+        if exact_only and zs is not None:
+            return ConditionResult(True, 0.0, HOLDS, Witness(None, 0, 0, 0))
+        return ConditionResult(False, 0.5, FAILS, Witness(None, k, j, l))
+
+    return route
+
+
+class TestDisagreementNamesWitnesses:
+    def test_three_way_message(self, monkeypatch):
+        monkeypatch.setattr(compatibility, "_condition1", _decisive_failure_at(1, 0, 1))
+        with pytest.raises(VerdictDisagreement) as info:
+            compat_report(R4, S4)
+        assert re.search(
+            r"three-way .* \(residuals c1=5\.000e-01 at \(k, j, l\) = \(1, 0, 1\), "
+            r"c2=\S+ at \(k, j, l\) = \([-\d]+, [-\d]+, [-\d]+\), comm=\S+\)$",
+            str(info.value),
+        ), str(info.value)
+
+    def test_exact_sampled_message(self, monkeypatch):
+        monkeypatch.setattr(compatibility, "_condition1", _decisive_failure_at(1, 0, 1, exact_only=True))
+        with pytest.raises(VerdictDisagreement) as info:
+            compat_report(R4, S4)
+        assert str(info.value) == (
+            "condition 1: exact and sampled routes disagree decisively "
+            "(exact 5.000e-01 at (k, j, l) = (1, 0, 1), sampled 0.000e+00 at (k, j, l) = (0, 0, 0))"
+        )
 
 
 class TestCurated:

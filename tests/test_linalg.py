@@ -210,6 +210,16 @@ class TestProjector:
         with pytest.raises(NotOrthonormal):
             projector_from_basis(v)
 
+    def test_one_dimensional_array_is_one_vector(self):
+        # a 1-D array is one vector, not a list of 1-component vectors
+        np.testing.assert_array_equal(projector_from_basis(np.array([1.0, 0.0])), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [3.0, [[1.0, 0.0], [1.0]], [[]]])
+    def test_unreadable_input_is_bad_argument(self, bad):
+        # a scalar and vectors of unequal or no length are library errors
+        with pytest.raises(BadArgument):
+            projector_from_basis(bad)
+
 
 class TestCommutes:
     def test_diagonals_commute(self):
