@@ -20,20 +20,24 @@ gives r_k with certainty, but eigenstates are no longer left invariant.
 Every rule is one Kraus operator per branch of the form T B*, with B the
 d x m block of stored eigenvectors of the branch and T a d x m target
 block: T = B for Lueders, the target basis for theta, and one eigenvector
-(m = 1) per branch for von Neumann.  All of them go through one kernel,
-T (B* Z B) T*, computed from the blocks every time: nothing multiplies a
-state by a dense projector, and no d x d array is kept on an observable
-or a theta family.
+(m = 1) per branch for von Neumann.  The Lueders and theta branches go
+through one kernel, T (B* Z B) T*, computed from the blocks every time:
+nothing multiplies a state by a dense projector, and no d x d array is
+kept on an observable or a theta family.
 
 Cost model: one branch costs O(d^2 m_k), for an outcome of multiplicity
 m_k; a Born weight Tr(B* Z B) costs the same and makes no d x d product.
-A whole aggregate or a full set of weights costs O(d^3), since the m_k
-add up to d.
+The Lueders and theta aggregates are the in-order sums of their
+selective branches, bit for bit, at O(d^3) in all, since the m_k add up
+to d.  The von Neumann aggregate, which has no selective form here, is
+the dephasing V diag(V* Z V) V* in the chosen eigenbasis V: two d x d x d
+products, not d rank-one branches.
 
 Outputs are never silently renormalized; use ``normalize`` explicitly.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .errors import (
     InvalidState,
     SubspaceViolation,
 )
-from .linalg import DEFAULT_TOL, _columns, _sealed, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _columns, _haar_unitaries, _sealed, dagger, freeze, max_abs
 from .observables import Observable, _labels
 from .states import DensityOperator, SubensembleState, state_matrix
 
@@ -170,32 +174,55 @@ def normalize(state, floor: float = WEIGHT_FLOOR) -> DensityOperator:
     tr = float(np.trace(m).real)
     if tr < floor:
         raise ImpossibleOutcome(f"branch weight {tr!r} is below {floor:g}")
-    return DensityOperator(_sealed(m / tr))
+    # the reciprocal once: a complex array divided by a real scalar goes
+    # through complex division, which gives these bits at five times the cost
+    return DensityOperator(_sealed(m * (1.0 / tr)))
+
+
+def _by_multiplicity(obs: Observable):
+    """(m, ascending outcome indices) for each distinct multiplicity m."""
+    groups = {}
+    for k, m in enumerate(obs.multiplicities):
+        groups.setdefault(m, []).append(k)
+    return groups.items()
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """``np.stack(arrays)``, as a view when there is only one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _validated_blocks(obs: Observable, blocks, tol: float, subspace_error) -> list:
+    """Read one block per outcome and check it is an orthonormal basis of
+    its eigenspace, with one stacked Gram check and one stacked subspace
+    check per multiplicity; a failed check names its worst outcome."""
     if len(blocks) != obs.outcome_count:
         raise BadBasis(
             f"need one basis block per outcome ({obs.outcome_count}), got {len(blocks)}"
         )
     out = []
-    for i, (pair, block) in enumerate(zip(obs.pairs, blocks)):
+    for i, (m, block) in enumerate(zip(obs.multiplicities, blocks)):
         b = _columns(block, BadBasis)
         if b.shape[0] != obs.dim:
             raise BadBasis(f"outcome {i}: vectors live in dim {b.shape[0]}, expected {obs.dim}")
-        if b.shape[1] != pair.multiplicity:
-            raise BadBasis(
-                f"outcome {i}: {b.shape[1]} vectors for a multiplicity-{pair.multiplicity} eigenvalue"
-            )
-        gram_dev = max_abs(dagger(b) @ b - np.eye(b.shape[1]))
-        if gram_dev > tol:
-            raise BadBasis(f"outcome {i}: basis not orthonormal, residual {gram_dev:.3e}")
-        sub_dev = max_abs(b - pair.basis @ (dagger(pair.basis) @ b))
-        if sub_dev > tol:
-            raise subspace_error(
-                f"outcome {i}: basis leaves its eigenvalue subspace by {sub_dev:.3e}"
-            )
+        if b.shape[1] != m:
+            raise BadBasis(f"outcome {i}: {b.shape[1]} vectors for a multiplicity-{m} eigenvalue")
         out.append(b)
+    gram_dev = np.zeros(len(out))
+    sub_dev = np.zeros(len(out))
+    for m, idx in _by_multiplicity(obs):
+        b = _stack([out[k] for k in idx])
+        src = _stack([obs.basis[k] for k in idx])
+        gram_dev[idx] = np.abs(b.conj().swapaxes(1, 2) @ b - np.eye(m)).max(axis=(1, 2))
+        sub_dev[idx] = np.abs(b - src @ (src.conj().swapaxes(1, 2) @ b)).max(axis=(1, 2))
+    for dev, error, what in (
+        (gram_dev, BadBasis, "basis not orthonormal, residual"),
+        (sub_dev, subspace_error, "basis leaves its eigenvalue subspace by"),
+    ):
+        over = dev > tol
+        if over.any():
+            worst = int(np.argmax(np.where(over, dev, -1.0)))
+            raise error(f"outcome {worst}: {what} {dev[worst]:.3e}")
     return out
 
 
@@ -206,15 +233,18 @@ def von_neumann_aggregate(obs: Observable, z, basis_choice=None, tol: float = DE
     (default: the observable's stored basis); the choice matters exactly
     when some eigenvalue is degenerate.  The result is diagonal in the
     chosen basis.  A caller-supplied basis is validated, not projected.
+
+    With the chosen rays side by side as V, the sum is the dephasing
+    V diag(V* Z V) V*, computed as two d x d x d products.
     """
     zm = _state_for(obs, z)
-    blocks = (
-        obs.basis
+    v = (
+        obs.full_basis()
         if basis_choice is None
-        else _validated_blocks(obs, list(basis_choice), tol, BadBasis)
+        else np.hstack(_validated_blocks(obs, list(basis_choice), tol, BadBasis))
     )
-    rays = [b[:, s : s + 1] for b in blocks for s in range(b.shape[1])]
-    return _aggregate(zm, rays, rays)
+    weights = np.einsum("ij,ij->j", v.conj(), zm @ v).real
+    return DensityOperator(_sealed((v * weights) @ dagger(v)))
 
 
 @dataclass(frozen=True)
@@ -295,10 +325,19 @@ def rotated_theta_family(obs: Observable, seed, tol: float = DEFAULT_TOL) -> The
     itself, so the family repeats eigenvalues without fixing eigenstates.
     ``seed`` is an integer or a numpy Generator.
     """
-    from .linalg import random_unitary
-
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    targets = [block @ random_unitary(block.shape[1], rng) for block in obs.basis]
+    mults = obs.multiplicities
+    # One draw for all outcomes, in outcome order: the same stream, and so
+    # the same targets bit for bit, as random_unitary(m_k, rng) outcome by
+    # outcome.  Each multiplicity then takes one stacked Haar step and one
+    # stacked product.
+    start = [0, *accumulate(2 * m * m for m in mults)]
+    draws = rng.standard_normal(start[-1])
+    targets = [None] * obs.outcome_count
+    for m, idx in _by_multiplicity(obs):
+        u = _haar_unitaries(_stack([draws[start[k] : start[k + 1]] for k in idx]).reshape(-1, 2, m, m))
+        for k, t in zip(idx, _stack([obs.basis[k] for k in idx]) @ u):
+            targets[k] = t
     return make_theta_family(obs, targets, tol)
 
 

@@ -274,10 +274,17 @@ def random_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary drawn from ``rng`` (a numpy Generator or seed)."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    if dim == 1:
-        # a Haar phase; the same draws keep the generator's stream as it was
+    return _haar_unitaries(rng.standard_normal((2, dim, dim)))
+
+
+def _haar_unitaries(draws: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normal draws of shape (..., 2, m, m),
+    the real then the imaginary parts of one complex Gaussian per m x m
+    matrix; a stack gives, bit for bit, what each matrix gives alone."""
+    g = (draws[..., 0, :, :] + 1j * draws[..., 1, :, :]) / np.sqrt(2.0)
+    if g.shape[-1] == 1:
+        # a Haar phase without a QR, from the same draws
         return g / np.abs(g)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

@@ -114,3 +114,41 @@ def test_zero_weight_branch(setup):
             assert 0.0 <= branch.weight <= _bound(obs)
             with pytest.raises(ImpossibleOutcome):
                 normalize(branch)
+
+
+@st.composite
+def dephasing_setups(draw):
+    """(observable, state, chosen blocks or None) for d 2-32, simple or
+    integer spectra, default or random caller-supplied eigenbases."""
+    dim = draw(st.integers(2, 32))
+    simple = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if simple:
+        spectrum = np.arange(dim) + rng.uniform(0.0, 0.5, dim)
+    else:
+        spectrum = rng.integers(-2, 3, dim).astype(float)
+    u = random_unitary(dim, rng)
+    obs = spectral_decompose(u @ np.diag(spectrum) @ dagger(u))
+    z = random_density(dim, draw(st.sampled_from([1, dim])), rng)
+    chosen = None
+    if draw(st.booleans()):
+        chosen = [b @ random_unitary(b.shape[1], rng) for b in obs.basis]
+    return obs, z, chosen
+
+
+@PROPERTY
+@given(dephasing_setups())
+def test_von_neumann_is_the_per_ray_sum(setup):
+    obs, z, chosen = setup
+    zm = z.matrix
+    v = np.hstack(obs.basis if chosen is None else chosen)
+    want = np.zeros_like(zm)
+    for s in range(obs.dim):
+        ray = v[:, s]
+        want += np.vdot(ray, zm @ ray) * np.outer(ray, ray.conj())
+    got = von_neumann_aggregate(obs, z, basis_choice=chosen).matrix
+    bound = 1e-13 * max(1.0, max_abs(zm))
+    assert max_abs(got - want) <= bound
+    assert abs(np.trace(got) - np.trace(zm)) <= 1e-12
+    in_basis = dagger(v) @ got @ v
+    assert max_abs(in_basis - np.diag(np.diag(in_basis))) <= bound

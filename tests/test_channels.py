@@ -149,6 +149,17 @@ class TestNormalize:
         z = normalize(sel)
         assert z.trace == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("dim", [2, 8, 32, 128])
+    def test_equals_division_by_trace_bitwise(self, dim):
+        # multiplying by the reciprocal is what complex division by a real
+        # scalar reduces to, so the bits are those of m / tr
+        obs = degenerate_observable(np.arange(dim) % 3, dim)
+        z = random_density(dim, dim, dim)
+        for k in range(obs.outcome_count):
+            sel = lueders_select(obs, k, z)
+            tr = float(np.trace(sel.matrix).real)
+            assert np.array_equal(normalize(sel).matrix, sel.matrix / tr)
+
     def test_zero_branch_raises(self):
         z = from_pure([1.0, 0.0, 0.0])
         with pytest.raises(ImpossibleOutcome):
@@ -221,6 +232,22 @@ class TestVonNeumann:
         ]
         with pytest.raises(BadBasis):
             von_neumann_aggregate(OBS225, PSI3, basis_choice=blocks)
+
+    def test_bad_basis_names_worst_outcome(self):
+        # outcomes 0 and 2 (both simple, so checked in one stack) leave
+        # their eigenspaces, outcome 2 by more
+        obs = spectral_decompose(np.diag([1.0, 2.0, 2.0, 3.0]))
+        e = np.eye(4)
+        blocks = [
+            np.cos(0.1) * e[:, :1] + np.sin(0.1) * e[:, 3:],
+            e[:, 1:3],
+            np.cos(0.5) * e[:, 3:] + np.sin(0.5) * e[:, :1],
+        ]
+        with pytest.raises(BadBasis, match=r"^outcome 2: basis leaves its eigenvalue subspace"):
+            von_neumann_aggregate(obs, from_pure(e[:, 0]), basis_choice=blocks)
+        blocks[1] = e[:, 1:2] @ np.ones((1, 2))
+        with pytest.raises(BadBasis, match=r"^outcome 1: basis not orthonormal"):
+            von_neumann_aggregate(obs, from_pure(e[:, 0]), basis_choice=blocks)
 
 
 class TestThetaFamily:
@@ -313,6 +340,18 @@ class TestThetaFamily:
         fam = rotated_theta_family(OBS225, 0)
         with pytest.raises(BadOutcomeIndex):
             fam.theta(2)
+
+    @pytest.mark.parametrize("spectrum", [[1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0], np.arange(9.0)])
+    def test_rotated_family_is_per_outcome_random_unitary(self, spectrum):
+        # one draw for all outcomes takes the stream that one
+        # random_unitary per outcome would, so the targets and the
+        # generator's later draws are the same bit for bit
+        obs = degenerate_observable(spectrum, 4)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        fam = rotated_theta_family(obs, rng)
+        for t, b in zip(fam.targets, obs.basis):
+            assert np.array_equal(t, b @ random_unitary(b.shape[1], ref))
+        assert rng.standard_normal() == ref.standard_normal()
 
     def test_rotated_family_deterministic(self):
         a = rotated_theta_family(OBS225, 3)
