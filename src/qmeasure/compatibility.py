@@ -1,6 +1,6 @@
 """Compatibility of two observables: when measuring one cannot disturb the other.
 
-Each of the two operational conditions is one routine on per-outcome
+Each of the two operational conditions is checked on per-outcome
 Kraus operators, A_k for the R-measurement and B_j for the S-measurement,
 with an exact route (an operator identity) and a sampled route (traces
 over seeded random pure states).  The operators come as basis blocks,
@@ -28,19 +28,26 @@ a pure state; mixed states would add cost and no detection power.
 Both projector conditions hold iff the two operators commute, so
 ``compat_report`` runs both routes, checks them against the commutator,
 and raises VerdictDisagreement on a decisive disagreement (it would mean
-an implementation bug, not physics).
+an implementation bug, not physics).  A residual that is not finite
+(operators that overflow double precision) raises ContractError: no
+verdict can be read from it.
 
-Cost.  Neither routine forms a dense Kraus product.  They work in R's
+Cost.  One kernel, ``_conditions``, runs both conditions on every
+requested route, and no dense Kraus product is formed.  It works in R's
 eigenbasis V, where one overlap N_j = (V* U_j)(W_j* T) per S outcome
 holds every (k, l) block of condition 1, and condition 2 becomes a block
-mask.  An exact route costs O(K_S d^3).  The sampled route rotates the
-state vectors once, y = V* z, and reads both traces as norms of
-block-vector products, ||X_lk y_k||^2 and
-sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2.  Drawing and rotating the batch
-costs O(samples d^2), and sampled condition 2 O(d^3 + samples d^2) with
-the overlap W* T.  Sampled condition 1 forms the same overlaps N_j as the
-exact route, O(d^3) in all, and adds O(samples K_S d m_k) for each
-outcome of R of multiplicity m_k > 1.
+mask.  The products that do not depend on the probe vectors (V*, V* U,
+W* T, every N_j and |N_j|^2) are formed once per call, so a report that
+runs both routes pays for one overlap pass, O(K_S d^3) at most.  Each
+route then reads them with its own probe products: y = V* z over the
+standard basis (exact) or over a seeded batch of pure states (sampled),
+and W* z and X y_k alike.  The probe products of two routes are kept
+apart rather than joined into one, because a joined product can round
+differently and move a residual by an ulp.  Exact condition 2 adds
+O(K_S d^3) for its block-masked sums; the sampled traces read
+||X_lk y_k||^2 and sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2, which costs
+O(samples d^2) for condition 2 and O(samples K_S d m_k) for condition 1
+per outcome of R of multiplicity m_k > 1.
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,
 above 10*tol a clean failure, and anything between is reported as
@@ -48,12 +55,14 @@ indeterminate rather than silently rounded to a side.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import (
+    ContractError,
     DimMismatch,
     NotPositive,
     NotUnitary,
@@ -63,6 +72,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
+    _cluster_ranges,
+    _eig_hermitian_stack,
+    _haar_unitaries,
     _relative_commutator,
     as_matrix,
     commutes,
@@ -179,8 +191,14 @@ def _result(worst: float, at, zs, tol: float) -> ConditionResult:
     return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
 
 
-def _last_max(res: np.ndarray) -> tuple:
-    """Index of the last maximal entry in C order: the scan order, where a later tie wins."""
+def _last_max(res: np.ndarray, name: str) -> tuple:
+    """Index of the last maximal entry in C order: the scan order, where a later tie wins.
+
+    A non-finite residual means the operators overflowed double
+    precision, and no verdict can be read from it: ContractError.
+    """
+    if not np.isfinite(res).all():
+        raise ContractError(f"{name} residual is not finite; the operators overflow double precision")
     flat = np.flatnonzero(res == res.max())[-1]
     return tuple(int(i) for i in np.unravel_index(flat, res.shape))
 
@@ -200,40 +218,70 @@ def _multiplicity_groups(basis) -> list:
     return [(m, np.array(ks), np.array(cols)) for m, (ks, cols) in sorted(groups.items())]
 
 
-def _condition1(r_basis, r_targets, s_basis, s_targets, zs, tol) -> ConditionResult:
-    """Condition 1 on A_k = T_k V_k* and B_j = U_j W_j*, given as basis blocks.
+def _conditions(r_basis, r_targets, s_basis, s_targets, probe_sets, tol, conditions=(1, 2)) -> dict:
+    """Conditions 1 and 2 on A_k = T_k V_k* and B_j = U_j W_j*, every probe set from one overlap pass.
 
     V_k, T_k are ``r_basis[k]``, ``r_targets[k]`` and W_j, U_j are
     ``s_basis[j]``, ``s_targets[j]``; the readout projectors are
-    P_l = V_l V_l*.  Exact mode (``zs`` None) takes the worst
-    |A_k* B_j* P_l B_j A_k| over l != k; sampled mode the worst
-    Tr(P_l B_j A_k Z A_k* B_j*) over the pure states Z = z z* of ``zs``.
-    Triples run j, then k, then l, and a later tie takes over the witness.
+    P_l = V_l V_l* and Pt_j = W_j W_j*.  A probe set is None for the
+    exact route (the standard basis vectors) or a batch ``zs`` of pure
+    states, one per row, for the sampled route.  Returns
+    ``{c: [ConditionResult per probe set]}`` for each c in ``conditions``.
 
-    Everything comes from N_j = (V* U_j)(W_j* T), whose (l, k) block X is
-    V_l* B_j T_k.  Both modes read ||X y_k||^2 for probe vectors y = V* z,
-    where y_k is the k block of y: the sampled trace is exactly that, and
-    the exact operator V_k X* X V_k* is positive semidefinite, so its
-    max-abs entry is its largest diagonal entry, the same norm over the
-    standard basis vectors z = e_a.  For a rank-1 outcome k the norm is
+    The probe-independent products are formed once: V*, W* T, and for
+    condition 1 V* U, the overlaps N_j = (V* U_j)(W_j* T), |N_j|^2 and
+    the multiplicity groups.  Each probe set then reads its residuals
+    with its own probe products (y = V* z, W* z, X y_k), never joined
+    with another set's, so a route gives the same bits whichever routes
+    run beside it.
+    """
+    v = np.hstack(r_basis)
+    vh, wh = dagger(v), dagger(np.hstack(s_basis))
+    wt = wh @ np.hstack(r_targets)
+    groups = _multiplicity_groups(r_basis)
+    # the probe vectors y = V* z of each set as columns (d, probes)
+    ys = [vh if zs is None else vh @ zs.T for zs in probe_sets]
+    out = {}
+    if 1 in conditions:
+        out[1] = _read_condition1(vh, wt, r_basis, groups, s_basis, s_targets, probe_sets, ys, tol)
+    if 2 in conditions:
+        out[2] = _read_condition2(v, wh, wt, r_basis, groups, s_basis, probe_sets, ys, tol)
+    return out
+
+
+def _read_condition1(vh, wt, r_basis, groups, s_basis, s_targets, probe_sets, ys, tol) -> list:
+    """Condition 1 per probe set, from the overlaps N_j formed once.
+
+    Exact mode takes the worst |A_k* B_j* P_l B_j A_k| over l != k;
+    sampled mode the worst Tr(P_l B_j A_k Z A_k* B_j*) over the pure
+    states Z = z z*.  Triples run j, then k, then l, and a later tie
+    takes over the witness.
+
+    The (l, k) block X of N_j = (V* U_j)(W_j* T) is V_l* B_j T_k.  Both
+    modes read ||X y_k||^2 for probe vectors y = V* z, where y_k is the
+    k block of y: the sampled trace is exactly that, and the exact
+    operator V_k X* X V_k* is positive semidefinite, so its max-abs
+    entry is its largest diagonal entry, the same norm over the standard
+    basis vectors z = e_a.  For a rank-1 outcome k the norm is
     |X|^2 |y_k|^2, so the max over probes is taken before the product;
     R outcomes of one multiplicity m > 1 form N_j[:, cols_k] @ y_k for
     every probe, at O(d m) a probe.  S outcomes of one multiplicity and
     R outcomes of one multiplicity are batched.
     """
-    d, kr = len(r_basis[0]), len(r_basis)
-    vh = dagger(np.hstack(r_basis))
+    d, kr = len(vh), len(r_basis)
+    if kr < 2:
+        return [_result(0.0, None, zs, tol) for zs in probe_sets]
     starts = _offsets(r_basis)
     vu = vh @ np.hstack(s_targets)
-    wt = dagger(np.hstack(s_basis)) @ np.hstack(r_targets)
-    # the probe vectors y = V* z as columns (d, probes)
-    ys = vh if zs is None else vh @ zs.T
-    weights = np.abs(ys) ** 2
-    peak, best = weights.max(axis=1), weights.argmax(axis=1)
-    groups = _multiplicity_groups(r_basis)
-    # entries one S outcome's products hold: N_j, and X y_k per probe for m > 1
-    per_j = d * d + sum(len(ks) * d * ys.shape[1] for m, ks, _ in groups if m > 1)
-    res = np.empty((len(s_basis), kr, kr))
+    peaks = []
+    for y in ys:
+        weights = np.abs(y) ** 2
+        peaks.append((weights.max(axis=1), weights.argmax(axis=1)))
+    # entries one S outcome's products hold: N_j, and X y_k per probe of
+    # the largest probe set for m > 1
+    probes = max(y.shape[1] for y in ys)
+    per_j = d * d + sum(len(ks) * d * probes for m, ks, _ in groups if m > 1)
+    res = np.empty((len(ys), len(s_basis), kr, kr))
     state = np.zeros(res.shape, dtype=int)
     for _, js, s_cols in _multiplicity_groups(s_basis):
         parts = min(len(js), -(-len(js) * per_j // _CHUNK))
@@ -247,59 +295,68 @@ def _condition1(r_basis, r_targets, s_basis, s_targets, zs, tol) -> ConditionRes
                 at = np.ix_(js[part], ks)
                 if m == 1:
                     c = cols[:, 0]
-                    res[at] = np.swapaxes(rows[:, :, c] * peak[c], 1, 2)
-                    state[at] = best[c, None]
+                    overlap = rows[:, :, c]
+                    for i, (peak, best) in enumerate(peaks):
+                        res[i][at] = np.swapaxes(overlap * peak[c], 1, 2)
+                        state[i][at] = best[c, None]
                     continue
                 x = np.moveaxis(n[:, :, cols], 2, 1)
-                norms = np.add.reduceat(np.abs(x @ ys[cols]) ** 2, starts, axis=2)
-                res[at], state[at] = norms.max(axis=3), norms.argmax(axis=3)
-    if kr < 2:
-        return _result(0.0, None, zs, tol)
-    res[:, np.arange(kr), np.arange(kr)] = -1.0
-    j, k, l = _last_max(res)
-    i = None if zs is None else int(state[j, k, l])
-    return _result(float(res[j, k, l]), (i, k, j, l), zs, tol)
+                for i, y in enumerate(ys):
+                    norms = np.add.reduceat(np.abs(x @ y[cols]) ** 2, starts, axis=2)
+                    res[i][at], state[i][at] = norms.max(axis=3), norms.argmax(axis=3)
+    res[:, :, np.arange(kr), np.arange(kr)] = -1.0
+    out = []
+    for zs, worst, where in zip(probe_sets, res, state):
+        j, k, l = _last_max(worst, "condition 1")
+        i = None if zs is None else int(where[j, k, l])
+        out.append(_result(float(worst[j, k, l]), (i, k, j, l), zs, tol))
+    return out
 
 
-def _condition2(r_basis, r_targets, s_basis, zs, tol) -> ConditionResult:
-    """Condition 2 on A_k = T_k V_k* and S's projectors Pt_j = W_j W_j*.
+def _read_condition2(v, wh, wt, r_basis, groups, s_basis, probe_sets, ys, tol) -> list:
+    """Condition 2 per probe set, from the overlap W* T formed once.
 
-    Exact mode (``zs`` None) takes the worst |sum_k A_k* Pt_j A_k - Pt_j|
-    over j, where the sum is V blockmask(T* Pt_j T) V*; sampled mode the
-    worst |Tr(Pt_j (Z' - Z))| over the pure states Z = z z* of ``zs``,
-    where Z' = sum_k A_k Z A_k*.  With y = V* z that trace is
+    Exact mode takes the worst |sum_k A_k* Pt_j A_k - Pt_j| over j,
+    where the sum is V blockmask(T* Pt_j T) V*; sampled mode the worst
+    |Tr(Pt_j (Z' - Z))| over the pure states Z = z z*, where
+    Z' = sum_k A_k Z A_k*.  With y = V* z that trace is
     sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2, O(samples d^2) past the
     overlap W* T; for rank-1 outcomes k the sum is one product
     |W* T|^2 @ |y|^2.
     """
-    v, t = np.hstack(r_basis), np.hstack(r_targets)
-    wh = dagger(np.hstack(s_basis))
-    wt = wh @ t
     s_starts = _offsets(s_basis)
-    if zs is None:
-        mask = np.zeros((len(v),) * 2, dtype=bool)
-        for lo, b in zip(_offsets(r_basis), r_basis):
-            mask[lo : lo + b.shape[1], lo : lo + b.shape[1]] = True
-        res = []
-        for lo, w in zip(s_starts, s_basis):
-            c = wt[lo : lo + w.shape[1]]
-            res.append(max_abs(v @ ((dagger(c) @ c) * mask) @ dagger(v) - w @ dagger(w)))
-        res, state = np.array(res), None
-    else:
-        ys = dagger(v) @ zs.T
-        # per row of W* and per state: sum_k |W* T_k y_k|^2 - |W* z|^2
-        shift = -np.abs(wh @ zs.T) ** 2
-        for m, _, cols in _multiplicity_groups(r_basis):
-            if m == 1:
-                c = cols[:, 0]
-                shift += np.abs(wt[:, c]) ** 2 @ np.abs(ys[c]) ** 2
-            else:
-                shift += np.sum(np.abs(np.moveaxis(wt[:, cols], 1, 0) @ ys[cols]) ** 2, axis=0)
-        traces = np.abs(np.add.reduceat(shift, s_starts, axis=0))
-        res, state = traces.max(axis=1), traces.argmax(axis=1)
-    (j,) = _last_max(res)
-    i = None if zs is None else int(state[j])
-    return _result(float(res[j]), (i, None, j, None), zs, tol)
+    out = []
+    for zs, y in zip(probe_sets, ys):
+        if zs is None:
+            mask = np.zeros((len(v),) * 2, dtype=bool)
+            for lo, b in zip(_offsets(r_basis), r_basis):
+                mask[lo : lo + b.shape[1], lo : lo + b.shape[1]] = True
+            res = []
+            for lo, w in zip(s_starts, s_basis):
+                c = wt[lo : lo + w.shape[1]]
+                res.append(max_abs(v @ ((dagger(c) @ c) * mask) @ dagger(v) - w @ dagger(w)))
+            res, state = np.array(res), None
+        else:
+            # per row of W* and per state: sum_k |W* T_k y_k|^2 - |W* z|^2
+            shift = -np.abs(wh @ zs.T) ** 2
+            for m, _, cols in groups:
+                if m == 1:
+                    c = cols[:, 0]
+                    shift += np.abs(wt[:, c]) ** 2 @ np.abs(y[c]) ** 2
+                else:
+                    shift += np.sum(np.abs(np.moveaxis(wt[:, cols], 1, 0) @ y[cols]) ** 2, axis=0)
+            traces = np.abs(np.add.reduceat(shift, s_starts, axis=0))
+            res, state = traces.max(axis=1), traces.argmax(axis=1)
+        (j,) = _last_max(res, "condition 2")
+        i = None if zs is None else int(state[j])
+        out.append(_result(float(res[j]), (i, None, j, None), zs, tol))
+    return out
+
+
+def _route(condition, r_basis, r_targets, s_basis, s_targets, mode, samples, seed, tol) -> ConditionResult:
+    """One condition on one route: the kernel with one probe set."""
+    zs = _states(mode, len(r_basis[0]), samples, seed)
+    return _conditions(r_basis, r_targets, s_basis, s_targets, [zs], tol, (condition,))[condition][0]
 
 
 def condition1_holds(
@@ -317,8 +374,7 @@ def condition1_holds(
     states.  The worst residual and where it occurred are returned.
     """
     _check_same_dim(r, s)
-    zs = _states(mode, r.dim, samples, seed)
-    return _condition1(r.basis, r.basis, s.basis, s.basis, zs, tol)
+    return _route(1, r.basis, r.basis, s.basis, s.basis, mode, samples, seed, tol)
 
 
 def condition2_holds(
@@ -335,7 +391,7 @@ def condition2_holds(
     Tr(Pt_j Z') against Tr(Pt_j Z) on seeded random pure states.
     """
     _check_same_dim(r, s)
-    return _condition2(r.basis, r.basis, s.basis, _states(mode, r.dim, samples, seed), tol)
+    return _route(2, r.basis, r.basis, s.basis, s.basis, mode, samples, seed, tol)
 
 
 def lemma_check(b, c, tol: float = DEFAULT_TOL) -> bool:
@@ -437,17 +493,18 @@ def compat_report(
     if u2 is not None:
         s = heisenberg_observable(s, u2, cfg.tol)
     _check_same_dim(r, s)
-    c1_runs, c2_runs = [], []
-    for m in _MODES if mode == "both" else (mode,):
-        # one state batch per mode, shared by both conditions
-        zs = _states(m, r.dim, cfg.samples, cfg.seed)
-        c1_runs.append(_condition1(r.basis, r.basis, s.basis, s.basis, zs, cfg.tol))
-        c2_runs.append(_condition2(r.basis, r.basis, s.basis, zs, cfg.tol))
-    _cross_check("condition 1", c1_runs, cfg.tol)
-    _cross_check("condition 2", c2_runs, cfg.tol)
-    c1 = max(c1_runs, key=lambda res: res.residual)
-    c2 = max(c2_runs, key=lambda res: res.residual)
-    comm = _relative_commutator(reconstruct(r), reconstruct(s))
+    # one probe set per mode, and one kernel pass for both conditions on all of them
+    probe_sets = [_states(m, r.dim, cfg.samples, cfg.seed) for m in (_MODES if mode == "both" else (mode,))]
+    runs = _conditions(r.basis, r.basis, s.basis, s.basis, probe_sets, cfg.tol)
+    _cross_check("condition 1", runs[1], cfg.tol)
+    _cross_check("condition 2", runs[2], cfg.tol)
+    c1 = max(runs[1], key=lambda res: res.residual)
+    c2 = max(runs[2], key=lambda res: res.residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow shows as a non-finite residual, rejected next
+        comm = _relative_commutator(reconstruct(r), reconstruct(s))
+    if not np.isfinite(comm):
+        raise ContractError("commutator residual is not finite; the operators overflow double precision")
 
     labeled = {
         "condition1": verdict_from_residual(c1.residual, cfg.tol),
@@ -489,9 +546,9 @@ def theta_condition1(
     route checks Theta_k* Phi_j* P_l Phi_j Theta_k = 0 for l != k.
     """
     _check_same_dim(fam_r, fam_s)
-    zs = _states(mode, fam_r.dim, samples, seed)
-    return _condition1(
-        fam_r.observable.basis, fam_r.targets, fam_s.observable.basis, fam_s.targets, zs, tol
+    return _route(
+        1, fam_r.observable.basis, fam_r.targets, fam_s.observable.basis, fam_s.targets,
+        mode, samples, seed, tol,
     )
 
 
@@ -509,8 +566,10 @@ def theta_condition2(
     every S projector Pt_j.
     """
     _check_same_dim(fam_r, fam_s)
-    zs = _states(mode, fam_r.dim, samples, seed)
-    return _condition2(fam_r.observable.basis, fam_r.targets, fam_s.observable.basis, zs, tol)
+    return _route(
+        2, fam_r.observable.basis, fam_r.targets, fam_s.observable.basis, fam_s.targets,
+        mode, samples, seed, tol,
+    )
 
 
 def sector_rotated_family(
@@ -534,14 +593,36 @@ def sector_rotated_family(
         raise DimMismatch(f"dimensions differ: {obs.dim} vs {partner.dim}")
     rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
     partner_matrix = reconstruct(partner)
+    # the partner's sectors inside each eigenspace: B* S B of every block
+    # of one multiplicity as one stack, one stacked eigendecomposition
+    sectors = [None] * obs.outcome_count
+    for _, ks, _ in _multiplicity_groups(obs.basis):
+        blocks = np.stack([obs.basis[k] for k in ks])
+        inside = blocks.conj().swapaxes(1, 2) @ partner_matrix @ blocks
+        inside = (inside + inside.conj().swapaxes(1, 2)) / 2.0
+        values, vectors = _eig_hermitian_stack(inside, tol)
+        for k, vals, vecs in zip(ks, values, vectors):
+            sectors[k] = [vecs[:, a:b] for a, b in _cluster_ranges(vals, cluster_tol)]
+    # One draw for all sectors, outcome by outcome: the same stream, and so
+    # the same rotations bit for bit, as one random_unitary per sector.
+    # Each sector size then takes one stacked Haar step.
+    sizes = [sub.shape[1] for subs in sectors for sub in subs]
+    start = [0, *accumulate(2 * m * m for m in sizes)]
+    draws = rng.standard_normal(start[-1])
+    by_size = {}
+    for i, m in enumerate(sizes):
+        by_size.setdefault(m, []).append(i)
+    units = [None] * len(sizes)
+    for m, idx in by_size.items():
+        stack = np.stack([draws[start[i] : start[i + 1]] for i in idx]).reshape(-1, 2, m, m)
+        for i, u in zip(idx, _haar_unitaries(stack)):
+            units[i] = u
+    units = iter(units)
     targets = []
-    for block in obs.basis:
-        inside = dagger(block) @ partner_matrix @ block
-        inside = (inside + dagger(inside)) / 2.0
-        sectors = spectral_decompose(inside, cluster_tol, tol)
+    for block, subs in zip(obs.basis, sectors):
         rotation = np.zeros((block.shape[1], block.shape[1]), dtype=complex)
-        for sub in sectors.basis:
-            rotation += sub @ random_unitary(sub.shape[1], rng) @ dagger(sub)
+        for sub in subs:
+            rotation += sub @ next(units) @ dagger(sub)
         targets.append(block @ rotation)
     return make_theta_family(obs, targets, tol)
 

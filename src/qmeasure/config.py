@@ -1,8 +1,9 @@
 """Run-wide numeric settings shared by the CLI, demo, and sampled checks."""
 
+import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import BadArgument, ValidationError
 
 OUTPUT_FORMATS = ("text", "machine")
 
@@ -18,8 +19,10 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.cluster_tol > 0):
-            raise ValidationError("tolerances must be positive")
+        if not all(t > 0 and math.isfinite(t) for t in (self.tol, self.cluster_tol)):
+            raise BadArgument("tolerances must be positive and finite")
+        if self.seed < 0:
+            raise BadArgument(f"seed must be non-negative, got {self.seed}")
         if self.samples < 1:
             raise ValidationError("samples must be at least 1")
         if self.output_format not in OUTPUT_FORMATS:

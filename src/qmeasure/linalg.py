@@ -169,12 +169,40 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and raw eigenvectors of the Hermitian part of ``a``."""
+    """Ascending eigenvalues and raw eigenvectors of the Hermitian part of
+    ``a``, a matrix or a stack of them.
+
+    The part is a/2 + a*/2: halving first keeps entries near the largest
+    double finite, and on any other input gives the bits of (a + a*)/2.
+    """
+    half = a / 2.0
+    half += half.conj().swapaxes(-1, -2)
     try:
-        values, vectors = np.linalg.eigh((a + dagger(a)) / 2.0)
+        values, vectors = np.linalg.eigh(half)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     return np.asarray(values, dtype=float), vectors
+
+
+def _eig_hermitian_stack(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``eig_hermitian`` on every matrix of a stack (n, m, m) at once.
+
+    The same checks (finite entries, max|A - A*| <= tol * max(1, max|A|)),
+    one ``eigh`` and one ``_fix_phases`` for the whole stack; each matrix
+    gets the values and vectors, bit for bit, that it gets alone.
+    """
+    if not np.isfinite(a).all():
+        raise BadArgument("matrix contains non-finite entries")
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bound = tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if (dev > bound).any():
+        i = int(np.argmax(dev - bound))
+        raise NotHermitian(f"matrix {i} deviates from its adjoint by {dev[i]:.3e} (bound {bound[i]:.1e})")
+    values, vectors = _eigh(a)
+    n, m = vectors.shape[:2]
+    # the columns of all the matrices side by side, for one _fix_phases pass
+    fixed = _fix_phases(vectors.swapaxes(0, 1).reshape(m, n * m))
+    return values, fixed.reshape(m, n, m).swapaxes(0, 1)
 
 
 def _cluster_ranges(values, cluster_tol: float) -> list:
@@ -182,7 +210,10 @@ def _cluster_ranges(values, cluster_tol: float) -> list:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise BadArgument("values must be one-dimensional")
-    gaps = np.diff(vals)
+    # a gap between values of opposite sign near the largest double is
+    # inf, which is a gap like any other
+    with np.errstate(over="ignore"):
+        gaps = np.diff(vals)
     if (gaps < 0).any():
         raise BadArgument("values must be sorted ascending")
     gap_tol = cluster_tol * max(1.0, float(np.abs(vals).max(initial=0.0)))

@@ -8,6 +8,7 @@ checked through subprocess in TestSubprocess.
 import io
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +449,56 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("error: ImpossibleOutcome:")
 
+    def test_decompose_near_the_largest_double_prints_no_nan(self, put):
+        big = put("big.txt", [[1e308, 1e308], [1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["decompose", big])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "eigenvalue multiplicity trace",
+            "-1.4142135623730951e+308 1 1.0",
+            "1.4142135623730951e+308 1 1.0",
+        ]
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled", "both"])
+    @pytest.mark.parametrize("partner", ["sz", "same"])
+    def test_overflowing_residual_is_4(self, put, mode, partner):
+        big = put("big.txt", [[1e308, 1e308], [1e308, -1e308]])
+        s = big if partner == "same" else put("s.txt", SZ)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["compat", "--r", big, "--s", s, "--mode", mode, "--format", "machine"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ContractError:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compat", "--mode", "sampled"],
+            ["measure", "--rule", "theta", "--aggregate"],
+        ],
+    )
+    def test_negative_seed_is_3(self, put, argv):
+        files = {
+            "compat": ["--r", put("r.txt", SZ), "--s", put("s.txt", SX)],
+            "measure": ["--observable", put("o.txt", OBS225), "--state", put("z.txt", MIXED3)],
+        }[argv[0]]
+        code, out, err = invoke(argv + files + ["--seed", "-1"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: BadArgument: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_is_3(self, put, flag, value):
+        # with --tol inf every residual would pass: Pauli Z and X "compatible"
+        code, out, err = invoke(["compat", "--r", put("r.txt", SZ), "--s", put("s.txt", SX), flag, value])
+        assert code == 3
+        assert out == ""
+        assert err == "error: BadArgument: tolerances must be positive and finite\n"
+
     def test_unknown_flag_is_2(self, put):
         code, _, _ = invoke(["decompose", "--bogus", put("m.txt", SZ)])
         assert code == 2
@@ -510,10 +561,14 @@ class TestExitCodes:
     def test_verdict_disagreement_is_4(self, put, monkeypatch):
         # a condition 1 route that fails a commuting pair breaks the
         # equivalence the report enforces
-        monkeypatch.setattr(
-            compatibility, "_condition1",
-            lambda *args: compatibility.ConditionResult(False, 0.5, compatibility.FAILS, None),
-        )
+        kernel = compatibility._conditions
+
+        def failing_condition1(*args):
+            runs = kernel(*args)
+            runs[1] = [compatibility.ConditionResult(False, 0.5, compatibility.FAILS, None)] * len(runs[1])
+            return runs
+
+        monkeypatch.setattr(compatibility, "_conditions", failing_condition1)
         code, out, err = invoke(
             ["compat", "--r", put("r.txt", SZ), "--s", put("s.txt", np.diag([3.0, 7.0]))]
         )

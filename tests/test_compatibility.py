@@ -33,9 +33,17 @@ from qmeasure.compatibility import (
     theta_condition2,
     verdict_from_residual,
 )
-from qmeasure.errors import NotPositive, NotUnitary, ValidationError, VerdictDisagreement
+from qmeasure.config import RunConfig
+from qmeasure.errors import (
+    BadArgument,
+    ContractError,
+    NotPositive,
+    NotUnitary,
+    ValidationError,
+    VerdictDisagreement,
+)
 from qmeasure.linalg import commutes, dagger, max_abs, random_unitary
-from qmeasure.observables import reconstruct, spectral_decompose
+from qmeasure.observables import Observable, SpectralPair, reconstruct, spectral_decompose
 from qmeasure.states import from_pure, random_density
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -225,7 +233,7 @@ class TestCompatReport:
     def test_decisive_disagreement_raises(self, monkeypatch):
         # a condition 1 route that fails a commuting pair decisively
         # contradicts condition 2 and the commutator
-        monkeypatch.setattr(compatibility, "_condition1", _decisive_failure)
+        monkeypatch.setattr(compatibility, "_conditions", _with_condition1(_decisive_failure))
         with pytest.raises(VerdictDisagreement, match="three-way"):
             compat_report(R4, S4)
 
@@ -234,7 +242,21 @@ class TestCompatReport:
         assert rep.verdict_commute and rep.verdict_condition1
 
 
-def _decisive_failure(*args):
+def _with_condition1(route):
+    """The condition kernel with every condition 1 result replaced by
+    ``route(zs)`` for its probe set (None on the exact route)."""
+    kernel = compatibility._conditions
+
+    def patched(r_basis, r_targets, s_basis, s_targets, probe_sets, tol, conditions=(1, 2)):
+        runs = kernel(r_basis, r_targets, s_basis, s_targets, probe_sets, tol, conditions)
+        if 1 in runs:
+            runs[1] = [route(zs) for zs in probe_sets]
+        return runs
+
+    return patched
+
+
+def _decisive_failure(zs):
     return ConditionResult(False, 0.5, FAILS, None)
 
 
@@ -242,17 +264,52 @@ def _decisive_failure_at(k, j, l, exact_only=False):
     """A condition 1 route failing decisively at (k, j, l); with
     ``exact_only`` the sampled route holds at (0, 0, 0) instead."""
 
-    def route(r_basis, r_targets, s_basis, s_targets, zs, tol):
+    def route(zs):
         if exact_only and zs is not None:
             return ConditionResult(True, 0.0, HOLDS, Witness(None, 0, 0, 0))
         return ConditionResult(False, 0.5, FAILS, Witness(None, k, j, l))
 
-    return route
+    return _with_condition1(route)
+
+
+class TestNonFiniteResiduals:
+    """A residual that overflowed is no verdict: ContractError, exit 4."""
+
+    BIG = spectral_decompose(np.array([[1e308, 1e308], [1e308, -1e308]]))
+
+    def test_observable_near_the_largest_double_decomposes(self):
+        assert np.isfinite(self.BIG.eigenvalues).all()
+
+    @pytest.mark.parametrize("partner", ["z", "same"])
+    def test_overflowing_commutator_raises(self, partner):
+        s = self.BIG if partner == "same" else Z_OBS
+        with pytest.raises(ContractError, match="commutator residual is not finite"):
+            compat_report(self.BIG, s)
+
+    @pytest.mark.parametrize("check", [condition1_holds, condition2_holds])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_nan_residual_raises(self, check, mode):
+        nan = Observable(
+            dim=2,
+            pairs=(SpectralPair(-1.0, np.array([[np.nan], [0.0]])), SpectralPair(1.0, np.array([[0.0], [1.0]]))),
+        )
+        with pytest.raises(ContractError, match="residual is not finite"):
+            check(nan, X_OBS, mode)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": -1}, {"tol": np.inf}, {"tol": np.nan}, {"cluster_tol": np.inf}, {"cluster_tol": 0.0}],
+    )
+    def test_bad_values_are_bad_arguments(self, kwargs):
+        with pytest.raises(BadArgument):
+            RunConfig(**kwargs)
 
 
 class TestDisagreementNamesWitnesses:
     def test_three_way_message(self, monkeypatch):
-        monkeypatch.setattr(compatibility, "_condition1", _decisive_failure_at(1, 0, 1))
+        monkeypatch.setattr(compatibility, "_conditions", _decisive_failure_at(1, 0, 1))
         with pytest.raises(VerdictDisagreement) as info:
             compat_report(R4, S4)
         assert re.search(
@@ -262,7 +319,7 @@ class TestDisagreementNamesWitnesses:
         ), str(info.value)
 
     def test_exact_sampled_message(self, monkeypatch):
-        monkeypatch.setattr(compatibility, "_condition1", _decisive_failure_at(1, 0, 1, exact_only=True))
+        monkeypatch.setattr(compatibility, "_conditions", _decisive_failure_at(1, 0, 1, exact_only=True))
         with pytest.raises(VerdictDisagreement) as info:
             compat_report(R4, S4)
         assert str(info.value) == (

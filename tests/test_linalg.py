@@ -1,5 +1,7 @@
 """Eigendecomposition, clustering, and the small operator helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from qmeasure.errors import BadArgument, DimMismatch, NotHermitian, NotOrthonormal, QMeasureError
 from qmeasure.linalg import (
     _PHASE_FLOOR,
+    _eig_hermitian_stack,
+    _eigh,
     _fix_phases,
     as_matrix,
     cluster_eigenvalues,
@@ -20,6 +24,7 @@ from qmeasure.linalg import (
     require_same_dim,
 )
 from qmeasure.matrixio import format_matrix
+from qmeasure.observables import spectral_decompose
 
 RNG_SEEDS = [0, 1, 2, 7, 11]
 
@@ -181,6 +186,61 @@ def test_fixed_phases_ignore_the_input_phase(drawn):
     for col in fixed.T:
         lead = col[np.flatnonzero(np.abs(col) > _PHASE_FLOOR)[0]]
         assert lead.real > 0 and abs(lead.imag) <= 1e-12 * abs(lead)
+
+
+class TestExtremeScale:
+    """Hermitian parts near the largest double stay finite."""
+
+    BIG = np.array([[1e308, 1e308], [1e308, -1e308]])
+
+    def test_hermitian_part_does_not_overflow(self):
+        values, vectors = _eigh(self.BIG)
+        assert np.isfinite(values).all() and np.isfinite(vectors).all()
+        np.testing.assert_allclose(values, [-np.sqrt(2) * 1e308, np.sqrt(2) * 1e308], rtol=1e-15)
+
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_hermitian_part_keeps_the_bits_of_the_mean(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for m in (a, random_hermitian(6, seed)):
+            want = np.linalg.eigh((m + dagger(m)) / 2.0)
+            got = _eigh(m)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_clustering_an_infinite_gap_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cluster_eigenvalues([-1.5e308, 1.5e308], 1e-9) == [[0], [1]]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_decomposition_scales_with_the_matrix(self, scale, seed):
+        a = random_hermitian(5, seed)
+        base, scaled = spectral_decompose(a), spectral_decompose(scale * a)
+        np.testing.assert_allclose(scaled.eigenvalues, scale * np.array(base.eigenvalues), rtol=1e-12)
+        for p, q in zip(base.projectors, scaled.projectors):
+            np.testing.assert_allclose(q, p, atol=1e-12)
+
+
+class TestEigStack:
+    def test_each_matrix_as_alone(self):
+        stack = np.stack([random_hermitian(4, seed) for seed in RNG_SEEDS])
+        values, vectors = _eig_hermitian_stack(stack)
+        for m, vals, vecs in zip(stack, values, vectors):
+            alone = eig_hermitian(m)
+            assert vals.tobytes() == alone.values.tobytes()
+            assert vecs.tobytes() == alone.vectors.tobytes()
+
+    def test_checks_each_matrix(self):
+        stack = np.stack([random_hermitian(3, 0), random_hermitian(3, 1)])
+        skew = stack.copy()
+        skew[1, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian, match="matrix 1"):
+            _eig_hermitian_stack(skew)
+        stack[0, 2, 2] = np.nan
+        with pytest.raises(BadArgument, match="non-finite"):
+            _eig_hermitian_stack(stack)
 
 
 class TestProjector:
