@@ -23,7 +23,10 @@ block: T = B for Lueders, the target basis for theta, and one eigenvector
 (m = 1) per branch for von Neumann.  The Lueders and theta branches go
 through one kernel, T (B* Z B) T*, computed from the blocks every time:
 nothing multiplies a state by a dense projector, and no d x d array is
-kept on an observable or a theta family.
+kept on an observable or a theta family.  Outcomes of one multiplicity
+(``Observable.groups``) are checked, and drawn, as one stack.  Only
+``make_theta_family`` checks target content: the random families are
+valid by construction.
 
 Cost model: one branch costs O(d^2 m_k), for an outcome of multiplicity
 m_k; a Born weight Tr(B* Z B) costs the same and makes no d x d product.
@@ -37,7 +40,6 @@ Outputs are never silently renormalized; use ``normalize`` explicitly.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -49,8 +51,8 @@ from .errors import (
     InvalidState,
     SubspaceViolation,
 )
-from .linalg import DEFAULT_TOL, _columns, _haar_unitaries, _sealed, dagger, freeze, max_abs
-from .observables import Observable, _labels
+from .linalg import DEFAULT_TOL, _columns, _haar_blocks, _rng, _sealed, dagger, freeze, max_abs
+from .observables import Observable
 from .states import DensityOperator, SubensembleState, state_matrix
 
 __all__ = [
@@ -179,19 +181,6 @@ def normalize(state, floor: float = WEIGHT_FLOOR) -> DensityOperator:
     return DensityOperator(_sealed(m * (1.0 / tr)))
 
 
-def _by_multiplicity(obs: Observable):
-    """(m, ascending outcome indices) for each distinct multiplicity m."""
-    groups = {}
-    for k, m in enumerate(obs.multiplicities):
-        groups.setdefault(m, []).append(k)
-    return groups.items()
-
-
-def _stack(arrays: list) -> np.ndarray:
-    """``np.stack(arrays)``, as a view when there is only one array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _validated_blocks(obs: Observable, blocks, tol: float, subspace_error) -> list:
     """Read one block per outcome and check it is an orthonormal basis of
     its eigenspace, with one stacked Gram check and one stacked subspace
@@ -210,9 +199,9 @@ def _validated_blocks(obs: Observable, blocks, tol: float, subspace_error) -> li
         out.append(b)
     gram_dev = np.zeros(len(out))
     sub_dev = np.zeros(len(out))
-    for m, idx in _by_multiplicity(obs):
-        b = _stack([out[k] for k in idx])
-        src = _stack([obs.basis[k] for k in idx])
+    for m, idx, _ in obs.groups:
+        b = np.stack([out[k] for k in idx])
+        src = np.stack([obs.basis[k] for k in idx])
         gram_dev[idx] = np.abs(b.conj().swapaxes(1, 2) @ b - np.eye(m)).max(axis=(1, 2))
         sub_dev[idx] = np.abs(b - src @ (src.conj().swapaxes(1, 2) @ b)).max(axis=(1, 2))
     for dev, error, what in (
@@ -287,20 +276,16 @@ class ThetaFamily:
         """The dense operators Theta_k = T_k B_k*, in outcome order, built anew."""
         return tuple(self.theta(k) for k in range(self.outcome_count))
 
-    def _check_index(self, k: int) -> None:
-        if not (0 <= k < len(self.targets)):
-            raise BadOutcomeIndex(f"outcome index {k} out of range [0, {len(self.targets) - 1}]")
-
     def theta(self, k: int) -> np.ndarray:
-        self._check_index(k)
-        return _sealed(self.targets[k] @ dagger(self.observable.basis[k]))
+        b = self.observable.pair(k).basis
+        return _sealed(self.targets[k] @ dagger(b))
 
     def residual(self) -> float:
         """Worst deviation from the family's defining operator identities,
         which hold iff the targets side by side, T, have T*T = I and V*T is
         block diagonal in the eigenbasis V."""
         t = np.hstack(self.targets)
-        lab = _labels(self.observable)
+        lab = self.observable.labels
         leak = (dagger(self.observable.full_basis()) @ t)[lab[:, None] != lab]
         return max(max_abs(dagger(t) @ t - np.eye(self.dim)), max_abs(leak))
 
@@ -318,27 +303,20 @@ def make_theta_family(obs: Observable, target_bases, tol: float = DEFAULT_TOL) -
     return ThetaFamily(observable=obs, targets=tuple(blocks))
 
 
-def rotated_theta_family(obs: Observable, seed, tol: float = DEFAULT_TOL) -> ThetaFamily:
+def rotated_theta_family(obs: Observable, seed) -> ThetaFamily:
     """Theta family whose target basis is a random rotation of each eigenspace.
 
     Every degenerate eigenspace gets a Haar-random change of basis inside
     itself, so the family repeats eigenvalues without fixing eigenstates.
-    ``seed`` is an integer or a numpy Generator.
+    ``seed`` goes through ``linalg._rng``.  The targets B_k U_k are
+    orthonormal and inside their eigenspace by construction.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    mults = obs.multiplicities
-    # One draw for all outcomes, in outcome order: the same stream, and so
-    # the same targets bit for bit, as random_unitary(m_k, rng) outcome by
-    # outcome.  Each multiplicity then takes one stacked Haar step and one
-    # stacked product.
-    start = [0, *accumulate(2 * m * m for m in mults)]
-    draws = rng.standard_normal(start[-1])
+    units = _haar_blocks(obs.multiplicities, _rng(seed))
     targets = [None] * obs.outcome_count
-    for m, idx in _by_multiplicity(obs):
-        u = _haar_unitaries(_stack([draws[start[k] : start[k + 1]] for k in idx]).reshape(-1, 2, m, m))
-        for k, t in zip(idx, _stack([obs.basis[k] for k in idx]) @ u):
+    for _, idx, _ in obs.groups:
+        for k, t in zip(idx, np.stack([obs.basis[k] for k in idx]) @ np.stack([units[k] for k in idx])):
             targets[k] = t
-    return make_theta_family(obs, targets, tol)
+    return ThetaFamily(observable=obs, targets=tuple(targets))
 
 
 def theta_select(fam: ThetaFamily, k: int, z) -> SubensembleState:
@@ -348,8 +326,8 @@ def theta_select(fam: ThetaFamily, k: int, z) -> SubensembleState:
     repeatable even though the state inside the eigenspace is rotated.
     """
     zm = _state_for(fam.observable, z)
-    fam._check_index(k)
-    return SubensembleState(_sealed(_branch(zm, fam.observable.basis[k], fam.targets[k])))
+    b = fam.observable.pair(k).basis
+    return SubensembleState(_sealed(_branch(zm, b, fam.targets[k])))
 
 
 def theta_aggregate(fam: ThetaFamily, z) -> DensityOperator:

@@ -121,7 +121,7 @@ def cmd_measure(args, cfg: RunConfig, out) -> int:
     elif args.rule == "vonneumann":
         result = von_neumann_aggregate(obs, z, tol=cfg.tol)
     else:  # theta: eigenspace bases rotated pseudo-randomly from the run seed
-        fam = rotated_theta_family(obs, cfg.seed, cfg.tol)
+        fam = rotated_theta_family(obs, cfg.seed)
         result = theta_select(fam, args.outcome, z) if args.select else theta_aggregate(fam, z)
 
     if args.normalize:

@@ -36,7 +36,7 @@ Cost.  One kernel, ``_conditions``, runs both conditions on every
 requested route, and no dense Kraus product is formed.  It works in R's
 eigenbasis V, where one overlap N_j = (V* U_j)(W_j* T) per S outcome
 holds every (k, l) block of condition 1, and condition 2 becomes a block
-mask.  The products that do not depend on the probe vectors (V*, V* U,
+mask; blocks and batches follow ``Observable.groups``.  The products that do not depend on the probe vectors (V*, V* U,
 W* T, every N_j and |N_j|^2) are formed once per call, so a report that
 runs both routes pays for one overlap pass, O(K_S d^3) at most.  Each
 route then reads them with its own probe products: y = V* z over the
@@ -55,7 +55,6 @@ indeterminate rather than silently rounded to a side.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -74,8 +73,9 @@ from .linalg import (
     DEFAULT_TOL,
     _cluster_ranges,
     _eig_hermitian_stack,
-    _haar_unitaries,
+    _haar_blocks,
     _relative_commutator,
+    _rng,
     as_matrix,
     commutes,
     dagger,
@@ -84,7 +84,7 @@ from .linalg import (
     random_unitary,
     require_hermitian,
 )
-from .channels import ThetaFamily, lueders_select, make_theta_family
+from .channels import ThetaFamily, lueders_select
 from .observables import Observable, SpectralPair, reconstruct, spectral_decompose
 from .states import DensityOperator, SubensembleState
 
@@ -167,7 +167,7 @@ def _random_state_batch(dim: int, samples: int, seed: int) -> np.ndarray:
     maximum over all states is reached at a pure state: mixed states
     would add cost and no detection power.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     g = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
     return g / np.linalg.norm(g, axis=1)[:, None]
 
@@ -203,53 +203,36 @@ def _last_max(res: np.ndarray, name: str) -> tuple:
     return tuple(int(i) for i in np.unravel_index(flat, res.shape))
 
 
-def _offsets(basis) -> np.ndarray:
-    """First column of each basis block in the blocks laid side by side."""
-    return np.cumsum([0] + [b.shape[1] for b in basis[:-1]])
-
-
-def _multiplicity_groups(basis) -> list:
-    """(m, outcomes of multiplicity m, their columns as an (n, m) array) per m."""
-    groups = {}
-    for k, (lo, b) in enumerate(zip(_offsets(basis), basis)):
-        ks, cols = groups.setdefault(b.shape[1], ([], []))
-        ks.append(k)
-        cols.append(range(lo, lo + b.shape[1]))
-    return [(m, np.array(ks), np.array(cols)) for m, (ks, cols) in sorted(groups.items())]
-
-
-def _conditions(r_basis, r_targets, s_basis, s_targets, probe_sets, tol, conditions=(1, 2)) -> dict:
+def _conditions(r, r_targets, s, s_targets, probe_sets, tol, conditions=(1, 2)) -> dict:
     """Conditions 1 and 2 on A_k = T_k V_k* and B_j = U_j W_j*, every probe set from one overlap pass.
 
-    V_k, T_k are ``r_basis[k]``, ``r_targets[k]`` and W_j, U_j are
-    ``s_basis[j]``, ``s_targets[j]``; the readout projectors are
+    V_k, T_k are ``r.basis[k]``, ``r_targets[k]`` and W_j, U_j are
+    ``s.basis[j]``, ``s_targets[j]``; the readout projectors are
     P_l = V_l V_l* and Pt_j = W_j W_j*.  A probe set is None for the
     exact route (the standard basis vectors) or a batch ``zs`` of pure
     states, one per row, for the sampled route.  Returns
     ``{c: [ConditionResult per probe set]}`` for each c in ``conditions``.
 
     The probe-independent products are formed once: V*, W* T, and for
-    condition 1 V* U, the overlaps N_j = (V* U_j)(W_j* T), |N_j|^2 and
-    the multiplicity groups.  Each probe set then reads its residuals
-    with its own probe products (y = V* z, W* z, X y_k), never joined
-    with another set's, so a route gives the same bits whichever routes
-    run beside it.
+    condition 1 V* U, the overlaps N_j = (V* U_j)(W_j* T) and |N_j|^2.
+    Each probe set then reads its residuals with its own probe products
+    (y = V* z, W* z, X y_k), never joined with another set's, so a route
+    gives the same bits whichever routes run beside it.
     """
-    v = np.hstack(r_basis)
-    vh, wh = dagger(v), dagger(np.hstack(s_basis))
+    v = r.full_basis()
+    vh, wh = dagger(v), dagger(s.full_basis())
     wt = wh @ np.hstack(r_targets)
-    groups = _multiplicity_groups(r_basis)
     # the probe vectors y = V* z of each set as columns (d, probes)
     ys = [vh if zs is None else vh @ zs.T for zs in probe_sets]
     out = {}
     if 1 in conditions:
-        out[1] = _read_condition1(vh, wt, r_basis, groups, s_basis, s_targets, probe_sets, ys, tol)
+        out[1] = _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol)
     if 2 in conditions:
-        out[2] = _read_condition2(v, wh, wt, r_basis, groups, s_basis, probe_sets, ys, tol)
+        out[2] = _read_condition2(v, wh, wt, r, s, probe_sets, ys, tol)
     return out
 
 
-def _read_condition1(vh, wt, r_basis, groups, s_basis, s_targets, probe_sets, ys, tol) -> list:
+def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     """Condition 1 per probe set, from the overlaps N_j formed once.
 
     Exact mode takes the worst |A_k* B_j* P_l B_j A_k| over l != k;
@@ -268,10 +251,9 @@ def _read_condition1(vh, wt, r_basis, groups, s_basis, s_targets, probe_sets, ys
     every probe, at O(d m) a probe.  S outcomes of one multiplicity and
     R outcomes of one multiplicity are batched.
     """
-    d, kr = len(vh), len(r_basis)
+    d, kr = len(vh), r.outcome_count
     if kr < 2:
         return [_result(0.0, None, zs, tol) for zs in probe_sets]
-    starts = _offsets(r_basis)
     vu = vh @ np.hstack(s_targets)
     peaks = []
     for y in ys:
@@ -280,18 +262,18 @@ def _read_condition1(vh, wt, r_basis, groups, s_basis, s_targets, probe_sets, ys
     # entries one S outcome's products hold: N_j, and X y_k per probe of
     # the largest probe set for m > 1
     probes = max(y.shape[1] for y in ys)
-    per_j = d * d + sum(len(ks) * d * probes for m, ks, _ in groups if m > 1)
-    res = np.empty((len(ys), len(s_basis), kr, kr))
+    per_j = d * d + sum(len(ks) * d * probes for m, ks, _ in r.groups if m > 1)
+    res = np.empty((len(ys), s.outcome_count, kr, kr))
     state = np.zeros(res.shape, dtype=int)
-    for _, js, s_cols in _multiplicity_groups(s_basis):
+    for _, js, s_cols in s.groups:
         parts = min(len(js), -(-len(js) * per_j // _CHUNK))
         for part in np.array_split(np.arange(len(js)), parts):
             n = np.moveaxis(vu[:, s_cols[part]], 1, 0) @ wt[s_cols[part]]
             # |N_j|^2 summed over the rows of each l block (one row each when R is simple)
             rows = np.abs(n) ** 2
             if kr < d:
-                rows = np.add.reduceat(rows, starts, axis=1)
-            for m, ks, cols in groups:
+                rows = np.add.reduceat(rows, r.offsets, axis=1)
+            for m, ks, cols in r.groups:
                 at = np.ix_(js[part], ks)
                 if m == 1:
                     c = cols[:, 0]
@@ -302,7 +284,7 @@ def _read_condition1(vh, wt, r_basis, groups, s_basis, s_targets, probe_sets, ys
                     continue
                 x = np.moveaxis(n[:, :, cols], 2, 1)
                 for i, y in enumerate(ys):
-                    norms = np.add.reduceat(np.abs(x @ y[cols]) ** 2, starts, axis=2)
+                    norms = np.add.reduceat(np.abs(x @ y[cols]) ** 2, r.offsets, axis=2)
                     res[i][at], state[i][at] = norms.max(axis=3), norms.argmax(axis=3)
     res[:, :, np.arange(kr), np.arange(kr)] = -1.0
     out = []
@@ -313,7 +295,7 @@ def _read_condition1(vh, wt, r_basis, groups, s_basis, s_targets, probe_sets, ys
     return out
 
 
-def _read_condition2(v, wh, wt, r_basis, groups, s_basis, probe_sets, ys, tol) -> list:
+def _read_condition2(v, wh, wt, r, s, probe_sets, ys, tol) -> list:
     """Condition 2 per probe set, from the overlap W* T formed once.
 
     Exact mode takes the worst |sum_k A_k* Pt_j A_k - Pt_j| over j,
@@ -324,28 +306,25 @@ def _read_condition2(v, wh, wt, r_basis, groups, s_basis, probe_sets, ys, tol) -
     overlap W* T; for rank-1 outcomes k the sum is one product
     |W* T|^2 @ |y|^2.
     """
-    s_starts = _offsets(s_basis)
     out = []
     for zs, y in zip(probe_sets, ys):
         if zs is None:
-            mask = np.zeros((len(v),) * 2, dtype=bool)
-            for lo, b in zip(_offsets(r_basis), r_basis):
-                mask[lo : lo + b.shape[1], lo : lo + b.shape[1]] = True
+            mask = r.labels[:, None] == r.labels
             res = []
-            for lo, w in zip(s_starts, s_basis):
+            for lo, w in zip(s.offsets, s.basis):
                 c = wt[lo : lo + w.shape[1]]
                 res.append(max_abs(v @ ((dagger(c) @ c) * mask) @ dagger(v) - w @ dagger(w)))
             res, state = np.array(res), None
         else:
             # per row of W* and per state: sum_k |W* T_k y_k|^2 - |W* z|^2
             shift = -np.abs(wh @ zs.T) ** 2
-            for m, _, cols in groups:
+            for m, _, cols in r.groups:
                 if m == 1:
                     c = cols[:, 0]
                     shift += np.abs(wt[:, c]) ** 2 @ np.abs(y[c]) ** 2
                 else:
                     shift += np.sum(np.abs(np.moveaxis(wt[:, cols], 1, 0) @ y[cols]) ** 2, axis=0)
-            traces = np.abs(np.add.reduceat(shift, s_starts, axis=0))
+            traces = np.abs(np.add.reduceat(shift, s.offsets, axis=0))
             res, state = traces.max(axis=1), traces.argmax(axis=1)
         (j,) = _last_max(res, "condition 2")
         i = None if zs is None else int(state[j])
@@ -353,10 +332,10 @@ def _read_condition2(v, wh, wt, r_basis, groups, s_basis, probe_sets, ys, tol) -
     return out
 
 
-def _route(condition, r_basis, r_targets, s_basis, s_targets, mode, samples, seed, tol) -> ConditionResult:
+def _route(condition, r, r_targets, s, s_targets, mode, samples, seed, tol) -> ConditionResult:
     """One condition on one route: the kernel with one probe set."""
-    zs = _states(mode, len(r_basis[0]), samples, seed)
-    return _conditions(r_basis, r_targets, s_basis, s_targets, [zs], tol, (condition,))[condition][0]
+    zs = _states(mode, r.dim, samples, seed)
+    return _conditions(r, r_targets, s, s_targets, [zs], tol, (condition,))[condition][0]
 
 
 def condition1_holds(
@@ -374,7 +353,7 @@ def condition1_holds(
     states.  The worst residual and where it occurred are returned.
     """
     _check_same_dim(r, s)
-    return _route(1, r.basis, r.basis, s.basis, s.basis, mode, samples, seed, tol)
+    return _route(1, r, r.basis, s, s.basis, mode, samples, seed, tol)
 
 
 def condition2_holds(
@@ -391,7 +370,7 @@ def condition2_holds(
     Tr(Pt_j Z') against Tr(Pt_j Z) on seeded random pure states.
     """
     _check_same_dim(r, s)
-    return _route(2, r.basis, r.basis, s.basis, s.basis, mode, samples, seed, tol)
+    return _route(2, r, r.basis, s, s.basis, mode, samples, seed, tol)
 
 
 def lemma_check(b, c, tol: float = DEFAULT_TOL) -> bool:
@@ -495,7 +474,7 @@ def compat_report(
     _check_same_dim(r, s)
     # one probe set per mode, and one kernel pass for both conditions on all of them
     probe_sets = [_states(m, r.dim, cfg.samples, cfg.seed) for m in (_MODES if mode == "both" else (mode,))]
-    runs = _conditions(r.basis, r.basis, s.basis, s.basis, probe_sets, cfg.tol)
+    runs = _conditions(r, r.basis, s, s.basis, probe_sets, cfg.tol)
     _cross_check("condition 1", runs[1], cfg.tol)
     _cross_check("condition 2", runs[2], cfg.tol)
     c1 = max(runs[1], key=lambda res: res.residual)
@@ -547,7 +526,7 @@ def theta_condition1(
     """
     _check_same_dim(fam_r, fam_s)
     return _route(
-        1, fam_r.observable.basis, fam_r.targets, fam_s.observable.basis, fam_s.targets,
+        1, fam_r.observable, fam_r.targets, fam_s.observable, fam_s.targets,
         mode, samples, seed, tol,
     )
 
@@ -567,7 +546,7 @@ def theta_condition2(
     """
     _check_same_dim(fam_r, fam_s)
     return _route(
-        2, fam_r.observable.basis, fam_r.targets, fam_s.observable.basis, fam_s.targets,
+        2, fam_r.observable, fam_r.targets, fam_s.observable, fam_s.targets,
         mode, samples, seed, tol,
     )
 
@@ -589,42 +568,28 @@ def sector_rotated_family(
     its statistics even for commuting operators (rotating the targets of
     an identity measurement is nothing but a unitary kick).
     """
-    if obs.dim != partner.dim:
-        raise DimMismatch(f"dimensions differ: {obs.dim} vs {partner.dim}")
-    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
+    _check_same_dim(obs, partner)
+    rng = _rng(seed)
     partner_matrix = reconstruct(partner)
     # the partner's sectors inside each eigenspace: B* S B of every block
     # of one multiplicity as one stack, one stacked eigendecomposition
     sectors = [None] * obs.outcome_count
-    for _, ks, _ in _multiplicity_groups(obs.basis):
+    for _, ks, _ in obs.groups:
         blocks = np.stack([obs.basis[k] for k in ks])
         inside = blocks.conj().swapaxes(1, 2) @ partner_matrix @ blocks
         inside = (inside + inside.conj().swapaxes(1, 2)) / 2.0
         values, vectors = _eig_hermitian_stack(inside, tol)
         for k, vals, vecs in zip(ks, values, vectors):
             sectors[k] = [vecs[:, a:b] for a, b in _cluster_ranges(vals, cluster_tol)]
-    # One draw for all sectors, outcome by outcome: the same stream, and so
-    # the same rotations bit for bit, as one random_unitary per sector.
-    # Each sector size then takes one stacked Haar step.
-    sizes = [sub.shape[1] for subs in sectors for sub in subs]
-    start = [0, *accumulate(2 * m * m for m in sizes)]
-    draws = rng.standard_normal(start[-1])
-    by_size = {}
-    for i, m in enumerate(sizes):
-        by_size.setdefault(m, []).append(i)
-    units = [None] * len(sizes)
-    for m, idx in by_size.items():
-        stack = np.stack([draws[start[i] : start[i + 1]] for i in idx]).reshape(-1, 2, m, m)
-        for i, u in zip(idx, _haar_unitaries(stack)):
-            units[i] = u
-    units = iter(units)
+    # one random_unitary per sector, outcome by outcome, bit for bit
+    units = iter(_haar_blocks([sub.shape[1] for subs in sectors for sub in subs], rng))
     targets = []
     for block, subs in zip(obs.basis, sectors):
         rotation = np.zeros((block.shape[1], block.shape[1]), dtype=complex)
         for sub in subs:
             rotation += sub @ next(units) @ dagger(sub)
         targets.append(block @ rotation)
-    return make_theta_family(obs, targets, tol)
+    return ThetaFamily(observable=obs, targets=tuple(targets))
 
 
 def curated_pairs(
@@ -641,7 +606,7 @@ def curated_pairs(
     Non-commuting pairs use independent bases, and draws whose commutator
     residual falls below 1e-6 are rejected as accidental commuters.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = []
     while len(out) < count:
         spec_a = rng.integers(-2, 3, size=dim).astype(float)

@@ -24,9 +24,9 @@ from .errors import (
     DimMismatch,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, _relative_commutator, as_matrix, dagger, eig_hermitian, freeze, max_abs
+from .linalg import DEFAULT_TOL, _relative_commutator, _rng, as_matrix, dagger, eig_hermitian, freeze, max_abs
 from .channels import lueders_select
-from .observables import Observable, _labels, reconstruct
+from .observables import Observable, reconstruct
 from .states import DensityOperator, random_density, state_matrix
 
 __all__ = [
@@ -144,11 +144,11 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
             raise DimMismatch(f"constraint dim {op.shape[0]} vs observable dim {r.dim}")
     full = reconstruct(r)
     v = r.full_basis()
-    lab = _labels(r)
+    off_block = r.labels[:, None] != r.labels
     verdict = True
     for op in ops:
         op_norm = max_abs(op)
-        leak = max_abs((dagger(v) @ op @ v)[lab[:, None] != lab])
+        leak = max_abs((dagger(v) @ op @ v)[off_block])
         verdict = verdict and leak <= tol * op_norm
         verdict = verdict and _relative_commutator(full, op, op_norm) <= tol
     return verdict
@@ -237,7 +237,7 @@ def random_constrained_density(n, seed, rank: int | None = None, tol: float = DE
     kernel = kernel_projector(n, tol)
     if round(float(np.trace(kernel).real)) == 0:
         raise ValidationError("constraint admits no states (kernel is trivial)")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(64):
         z = random_density(dim, rank if rank is not None else dim, rng)
         compressed = kernel @ z.matrix @ kernel

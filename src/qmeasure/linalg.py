@@ -7,6 +7,7 @@ read-only, so values can be shared freely across threads.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -301,21 +302,50 @@ def _relative_commutator(a: np.ndarray, b: np.ndarray, b_norm: float | None = No
     return commutes(a, b).residual / scale if scale > 0 else 0.0
 
 
+# np.random in strings: evaluated, it would import numpy.random at every CLI start
+def _rng(seed) -> "np.random.Generator":
+    """The one seed rule: a numpy Generator passes through, anything else goes
+    to ``np.random.default_rng``, and a seed numpy rejects is a BadArgument."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise BadArgument(f"bad seed {seed!r}: {exc}") from None
+
+
+def _groups(sizes) -> dict:
+    """{m: ascending positions i with sizes[i] == m}, ascending in m."""
+    groups = {}
+    for i, m in enumerate(sizes):
+        groups.setdefault(m, []).append(i)
+    return dict(sorted(groups.items()))
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary drawn from ``rng`` (a numpy Generator or seed)."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return _haar_unitaries(rng.standard_normal((2, dim, dim)))
+    """Haar-distributed unitary drawn from ``rng`` (a seed under ``_rng``'s rule)."""
+    return _haar_blocks([dim], _rng(rng))[0]
 
 
-def _haar_unitaries(draws: np.ndarray) -> np.ndarray:
-    """Haar unitaries from standard normal draws of shape (..., 2, m, m),
-    the real then the imaginary parts of one complex Gaussian per m x m
-    matrix; a stack gives, bit for bit, what each matrix gives alone."""
-    g = (draws[..., 0, :, :] + 1j * draws[..., 1, :, :]) / np.sqrt(2.0)
-    if g.shape[-1] == 1:
-        # a Haar phase without a QR, from the same draws
-        return g / np.abs(g)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+def _haar_blocks(sizes, rng: "np.random.Generator") -> list:
+    """One Haar unitary of each size in ``sizes``, in order.
+
+    One normal draw for all, 2 m^2 normals a unitary (the real then the
+    imaginary parts of an m x m complex Gaussian), then one stacked Haar
+    step per size: the same bits, and generator state after, as one
+    ``random_unitary(m, rng)`` size by size.
+    """
+    start = [0, *accumulate(2 * m * m for m in sizes)]
+    draws = rng.standard_normal(start[-1])
+    out = [None] * (len(start) - 1)
+    for m, idx in _groups(sizes).items():
+        x = np.stack([draws[start[i] : start[i + 1]] for i in idx]).reshape(-1, 2, m, m)
+        g = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
+        if m == 1:
+            # a Haar phase without a QR, from the same draws
+            units = g / np.abs(g)
+        else:
+            q, r = np.linalg.qr(g)
+            d = np.diagonal(r, axis1=-2, axis2=-1)
+            units = q * (d / np.abs(d))[..., None, :]
+        for i, u in zip(idx, units):
+            out[i] = u
+    return out

@@ -45,8 +45,9 @@ __all__ = [
     "read_observable_file",
 ]
 
-_DIM_RE = re.compile(r"^dim\s+(\d+)$")
-_PAIRS_RE = re.compile(r"^pairs\s+(\d+)$")
+# at most nine digits: int() refuses over 4300, and no larger count could be read anyway
+_DIM_RE = re.compile(r"^dim\s+(\d{1,9})$")
+_PAIRS_RE = re.compile(r"^pairs\s+(\d{1,9})$")
 _EIGENVALUE_RE = re.compile(r"^eigenvalue\s+(\S+)$")
 _REJECT_CHARS = set("()jJ_ \t")
 
@@ -153,13 +154,17 @@ def format_matrix(m, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_matrix(path) -> np.ndarray:
+def _read_text(path) -> str:
+    """The file as UTF-8 text; a file that cannot be read or decoded is a ParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix(text, name=str(path))
+
+
+def read_matrix(path) -> np.ndarray:
+    return parse_matrix(_read_text(path), name=str(path))
 
 
 def write_matrix(path, m, comment: str | None = None) -> None:
@@ -211,9 +216,4 @@ def parse_observable_text(text: str, name: str = "observable"):
 
 
 def read_observable_file(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_observable_text(text, name=str(path))
+    return parse_observable_text(_read_text(path), name=str(path))

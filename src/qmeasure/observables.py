@@ -26,6 +26,7 @@ from .linalg import (
     _cluster_ranges,
     _eigh,
     _fix_phases,
+    _groups,
     _sealed,
     dagger,
     eig_hermitian,
@@ -115,10 +116,23 @@ class Observable:
         """All eigenvector columns, pair blocks concatenated in order."""
         return np.hstack(self.basis)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The first column of each outcome's block in ``full_basis()``."""
+        return _sealed(np.cumsum([0, *self.multiplicities[:-1]]))
 
-def _labels(obs: Observable) -> np.ndarray:
-    """The outcome index of each column of ``obs.full_basis()``."""
-    return np.repeat(np.arange(obs.outcome_count), obs.multiplicities)
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The outcome of each column of ``full_basis()``."""
+        return _sealed(np.repeat(np.arange(self.outcome_count), self.multiplicities))
+
+    @cached_property
+    def groups(self) -> tuple:
+        """(m, outcomes of multiplicity m, their columns as an (n, m) array), ascending in m."""
+        return tuple(
+            (m, _sealed(np.array(ks)), _sealed(self.offsets[ks, None] + np.arange(m)))
+            for m, ks in _groups(self.multiplicities).items()
+        )
 
 
 def spectral_decompose(m, cluster_tol: float = DEFAULT_CLUSTER_TOL, tol: float = DEFAULT_TOL) -> Observable:
@@ -181,8 +195,7 @@ def _range_basis(p: np.ndarray, tol: float) -> np.ndarray:
 def reconstruct(obs: Observable) -> np.ndarray:
     """Reassemble the matrix sum_k r_k P_k as one product (V r) V*."""
     v = obs.full_basis()
-    r = np.repeat(obs.eigenvalues, obs.multiplicities)
-    return (v * r) @ dagger(v)
+    return (v * np.take(obs.eigenvalues, obs.labels)) @ dagger(v)
 
 
 def is_function_refinement(fine: Observable, coarse: Observable, tol: float = DEFAULT_TOL) -> bool:
@@ -200,10 +213,10 @@ def is_function_refinement(fine: Observable, coarse: Observable, tol: float = DE
         raise DimMismatch(f"dimensions differ: {fine.dim} vs {coarse.dim}")
     vc, vf = coarse.full_basis(), fine.full_basis()
     cross = dagger(vc) @ vf
-    c_lo, f_lo = (np.cumsum([0] + o.multiplicities[:-1]) for o in (coarse, fine))
-    overlaps = np.add.reduceat(np.add.reduceat(np.abs(cross) ** 2, c_lo, axis=0), f_lo, axis=1)
+    overlaps = np.add.reduceat(np.abs(cross) ** 2, coarse.offsets, axis=0)
+    overlaps = np.add.reduceat(overlaps, fine.offsets, axis=1)
     assigned = overlaps >= np.asarray(fine.multiplicities) - 0.5
     if np.any(assigned @ fine.multiplicities != coarse.multiplicities):
         return False
-    inside = cross * assigned[_labels(coarse)][:, _labels(fine)]
+    inside = cross * assigned[coarse.labels][:, fine.labels]
     return max_abs(vf - vc @ inside) <= tol * max(1, coarse.dim)

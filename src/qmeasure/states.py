@@ -14,7 +14,7 @@ from .errors import (
     WeightSum,
     ZeroVector,
 )
-from .linalg import DEFAULT_TOL, as_matrix, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _rng, as_matrix, dagger, freeze, max_abs
 
 __all__ = [
     "DensityOperator",
@@ -119,12 +119,12 @@ def mix(pairs, tol: float = DEFAULT_TOL) -> DensityOperator:
 def random_density(dim: int, rank: int, seed) -> DensityOperator:
     """Seeded random state Z = GG*/Tr(GG*), G a dim x rank complex Gaussian.
 
-    ``seed`` is an integer or a numpy Generator.  The generator family is
+    ``seed`` goes through ``linalg._rng``.  The generator family is
     pinned to numpy's default (PCG64) so traces reproduce across machines.
     """
     if not (1 <= rank <= dim):
         raise BadRank(f"rank must be in [1, {dim}], got {rank}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2.0)
     z = g @ dagger(g)
     return DensityOperator(z / np.trace(z).real)

@@ -383,6 +383,16 @@ class TestExitCodes:
         assert code == 2
         assert "error: ParseError:" in err
 
+    @pytest.mark.parametrize("role", ["observable", "state"])
+    def test_undecodable_file_is_2(self, put, tmp_path, role):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"dim 1\n\xff\n")
+        files = {"observable": put("o.txt", SZ), "state": put("z.txt", np.eye(2) / 2.0), role: str(bad)}
+        code, out, err = invoke(["born", "--observable", files["observable"], "--state", files["state"]])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError: cannot read") and err.count("\n") == 1
+
     def test_non_hermitian_observable_is_2(self, put):
         code, _, err = invoke(["decompose", put("m.txt", np.array([[0.0, 1.0], [0.0, 0.0]]))])
         assert code == 2
@@ -604,6 +614,12 @@ class TestSubprocess:
             capture_output=True,
             timeout=120,
         )
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random is a large import, paid by every CLI start; commands
+        # that draw load it when they draw
+        code = "import sys, qmeasure.cli; sys.exit('numpy.random' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
     def test_byte_identical_compat(self, put):
         r, s = put("r.txt", SZ), put("s.txt", SX)

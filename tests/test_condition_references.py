@@ -18,8 +18,6 @@ from qmeasure.compatibility import (
     CompatReport,
     _MODES,
     _cross_check,
-    _multiplicity_groups,
-    _offsets,
     _result,
     _states,
     compat_report,
@@ -42,6 +40,21 @@ CHUNK = 1 << 16
 
 
 # ------------------------------------------------------------ references
+
+
+def _offsets(basis) -> np.ndarray:
+    """First column of each basis block in the blocks laid side by side."""
+    return np.cumsum([0] + [b.shape[1] for b in basis[:-1]])
+
+
+def _multiplicity_groups(basis) -> list:
+    """(m, outcomes of multiplicity m, their columns as an (n, m) array) per m."""
+    groups = {}
+    for k, (lo, b) in enumerate(zip(_offsets(basis), basis)):
+        ks, cols = groups.setdefault(b.shape[1], ([], []))
+        ks.append(k)
+        cols.append(range(lo, lo + b.shape[1]))
+    return [(m, np.array(ks), np.array(cols)) for m, (ks, cols) in sorted(groups.items())]
 
 
 def last_max_reference(res):

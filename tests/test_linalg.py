@@ -12,6 +12,7 @@ from qmeasure.linalg import (
     _eig_hermitian_stack,
     _eigh,
     _fix_phases,
+    _rng,
     as_matrix,
     cluster_eigenvalues,
     commutes,
@@ -366,3 +367,45 @@ def test_bad_arguments_are_library_errors(call):
         call()
     assert isinstance(info.value, BadArgument) and isinstance(info.value, ValueError)
     assert info.value.exit_code == 3
+
+
+def _seeded_entry_points():
+    """Every public draw that takes a seed, each as a function of the seed."""
+    from qmeasure.channels import rotated_theta_family
+    from qmeasure.compatibility import condition1_holds, sector_rotated_family
+    from qmeasure.constraints import make_exchange_constraint, random_constrained_density
+    from qmeasure.states import random_density
+
+    obs = spectral_decompose(np.diag([1.0, 1.0, 2.0]))
+    partner = spectral_decompose(np.diag([3.0, 4.0, 4.0]))
+    return {
+        "random_unitary": lambda seed: random_unitary(2, seed),
+        "random_density": lambda seed: random_density(2, 1, seed),
+        "rotated_theta_family": lambda seed: rotated_theta_family(obs, seed),
+        "sector_rotated_family": lambda seed: sector_rotated_family(obs, partner, seed),
+        "random_constrained_density": lambda seed: random_constrained_density(
+            make_exchange_constraint(2, symmetric=True), seed
+        ),
+        "condition1_holds": lambda seed: condition1_holds(obs, partner, mode="sampled", seed=seed),
+    }
+
+
+class TestSeedRule:
+    """One rule for every seed: a Generator passes through, anything else
+    goes to numpy's default_rng, and a seed numpy rejects is BadArgument."""
+
+    @pytest.mark.parametrize("name", sorted(_seeded_entry_points()))
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5])
+    def test_rejected_seed_is_bad_argument(self, name, seed):
+        with pytest.raises(BadArgument, match="bad seed"):
+            _seeded_entry_points()[name](seed)
+
+    @pytest.mark.parametrize("name", sorted(_seeded_entry_points()))
+    def test_generator_and_fresh_entropy_are_seeds(self, name):
+        call = _seeded_entry_points()[name]
+        call(np.random.default_rng(0))
+        call(None)
+
+    def test_generator_passes_through(self):
+        rng = np.random.default_rng(3)
+        assert _rng(rng) is rng

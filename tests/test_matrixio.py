@@ -6,6 +6,7 @@ that parses back to the same float, so write-then-read is bitwise.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmeasure.errors import ParseError
 from qmeasure.linalg import dagger
@@ -110,6 +111,8 @@ def test_parse_matrix_errors():
         parse_matrix("dim 2\n1 2\n3 4\n5 6\n", "trailing row")
     with pytest.raises(ParseError):
         parse_matrix("", "empty file")
+    with pytest.raises(ParseError):
+        parse_matrix("dim " + "1" * 5000 + "\n", "more digits than int() reads")
 
 
 def test_parse_matrix_reports_line_number():
@@ -161,6 +164,8 @@ def test_observable_spectral_errors():
     with pytest.raises(ParseError):
         parse_observable_text("spectral\ndim 2\npairs 1\n", "truncated")
     with pytest.raises(ParseError):
+        parse_observable_text("spectral\ndim 2\npairs " + "1" * 5000 + "\n", "more digits than int() reads")
+    with pytest.raises(ParseError):
         parse_observable_text(
             SPECTRAL_TEXT.replace("pairs 2", "pairs 3"), "count mismatch"
         )
@@ -172,3 +177,60 @@ def test_read_observable_file(tmp_path):
     kind, pairs = read_observable_file(path)
     assert kind == "spectral"
     assert len(pairs) == 2
+
+
+# ------------------------------------------------------------ fuzzing
+
+# pieces of the grammar, near misses and hostile input; Hypothesis tries
+# the first entries of a list most often, so the most hostile come first
+NUMBERS = ["1" * 5000, "0", "1", "2", "8", "01", "-1", "+3", "\u0661", "\uff11"]
+ENTRIES = [
+    "1.5", "-0.0", "1e308", "-1e308", "1e999", "5e-324", "nan", "inf", "-inf", "1+2i", "1-2i",
+    "2i", "-i", "i", "1e+3-4e-2i", "1+2j", "(1+2j)", "1_0", "1ii", "i1", "+", "-", "e", ".", "0x1",
+]
+OTHER = ["#", "\x00", "\xe9", "\ud7ff", "\t", "dimdim", "spectral spectral"]
+
+
+@st.composite
+def token_soups(draw):
+    """Header lines with good and bad arguments, rows of entries, and
+    garbage, so that line-level grammar errors come up often."""
+    # a valid start reaches the later states of the grammar
+    start = draw(st.sampled_from(["", "spectral", "dim 1", "spectral\ndim 1", "spectral\ndim 1\npairs 1"]))
+    header = st.tuples(
+        st.sampled_from(["dim", "pairs", "eigenvalue", "spectral", "#"]),
+        st.one_of(st.sampled_from(NUMBERS), st.sampled_from(ENTRIES)),
+    ).map(" ".join)
+    row = st.lists(st.sampled_from(ENTRIES + NUMBERS), max_size=3).map(" ".join)
+    garbage = st.lists(st.sampled_from(NUMBERS + ENTRIES + OTHER), max_size=3).map("".join)
+    lines = draw(st.lists(st.one_of(header, row, garbage), max_size=12))
+    return draw(st.sampled_from(["\n", "\r\n"])).join([start, *lines])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(token_soups(), st.text(max_size=200)))
+def test_any_text_parses_or_raises_parse_error(text):
+    for parse in (parse_matrix, parse_observable_text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+# entries that stress the shortest-repr round trip
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def matrices(draw):
+    dim = draw(st.integers(1, 8))
+    parts = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(st.lists(st.tuples(parts, parts), min_size=dim * dim, max_size=dim * dim))
+    return np.array([complex(a, b) for a, b in values]).reshape(dim, dim)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(matrices())
+def test_format_then_parse_is_bitwise(m):
+    again = parse_matrix(format_matrix(m))
+    assert again.tobytes() == m.tobytes()
