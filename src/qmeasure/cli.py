@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 demo failures, 2 unreadable or malformed input
 (including an observable file that is not Hermitian), 3 inputs that
 parse but violate validation (bad density operator, bad index, non
 unitary evolution, constraint-violating state), 4 broken internal
-contracts (no eigensolver convergence, cross-check disagreement,
-normalizing an impossible outcome).
+contracts (no eigensolver convergence, an eigenvalue or residual that
+is not finite, cross-check disagreement, normalizing an impossible
+outcome).
 """
 
 import argparse

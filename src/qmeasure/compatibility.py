@@ -28,9 +28,10 @@ a pure state; mixed states would add cost and no detection power.
 Both projector conditions hold iff the two operators commute, so
 ``compat_report`` runs both routes, checks them against the commutator,
 and raises VerdictDisagreement on a decisive disagreement (it would mean
-an implementation bug, not physics).  A residual that is not finite
-(operators that overflow double precision) raises ContractError: no
-verdict can be read from it.
+an implementation bug, not physics).  A condition residual that is not
+finite raises ContractError: no verdict can be read from it.  The
+commutator is read at a power-of-two scale, so it stays finite for any
+finite operators.
 
 Cost.  One kernel, ``_conditions``, runs both conditions on every
 requested route, and no dense Kraus product is formed.  It works in R's
@@ -403,8 +404,9 @@ def heisenberg_observable(r: Observable, u, tol: float = DEFAULT_TOL) -> Observa
     um = as_matrix(u, "U")
     if um.shape[0] != r.dim:
         raise DimMismatch(f"unitary dim {um.shape[0]} does not match observable dim {r.dim}")
-    dev = max_abs(dagger(um) @ um - np.eye(r.dim))
-    if dev > tol:
+    with np.errstate(all="ignore"):  # entries near the largest double give inf or NaN, and fail
+        dev = max_abs(dagger(um) @ um - np.eye(r.dim))
+    if not dev <= tol:
         raise NotUnitary(f"U deviates from unitarity by {dev:.3e}")
     ud = dagger(um)
     pairs = tuple(SpectralPair(p.eigenvalue, ud @ p.basis) for p in r.pairs)
@@ -479,11 +481,8 @@ def compat_report(
     _cross_check("condition 2", runs[2], cfg.tol)
     c1 = max(runs[1], key=lambda res: res.residual)
     c2 = max(runs[2], key=lambda res: res.residual)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an overflow shows as a non-finite residual, rejected next
-        comm = _relative_commutator(reconstruct(r), reconstruct(s))
-    if not np.isfinite(comm):
-        raise ContractError("commutator residual is not finite; the operators overflow double precision")
+    # read at a power-of-two scale, so operators near the largest double give a finite residual
+    comm = _relative_commutator(reconstruct(r), reconstruct(s))
 
     labeled = {
         "condition1": verdict_from_residual(c1.residual, cfg.tol),
@@ -577,7 +576,6 @@ def sector_rotated_family(
     for _, ks, _ in obs.groups:
         blocks = np.stack([obs.basis[k] for k in ks])
         inside = blocks.conj().swapaxes(1, 2) @ partner_matrix @ blocks
-        inside = (inside + inside.conj().swapaxes(1, 2)) / 2.0
         values, vectors = _eig_hermitian_stack(inside, tol)
         for k, vals, vecs in zip(ks, values, vectors):
             sectors[k] = [vecs[:, a:b] for a, b in _cluster_ranges(vals, cluster_tol)]
@@ -611,17 +609,10 @@ def curated_pairs(
     while len(out) < count:
         spec_a = rng.integers(-2, 3, size=dim).astype(float)
         spec_b = rng.integers(-2, 3, size=dim).astype(float)
-        if commuting:
-            u = random_unitary(dim, rng)
-            ma = u @ np.diag(spec_a) @ dagger(u)
-            mb = u @ np.diag(spec_b) @ dagger(u)
-        else:
-            u1 = random_unitary(dim, rng)
-            u2 = random_unitary(dim, rng)
-            ma = u1 @ np.diag(spec_a) @ dagger(u1)
-            mb = u2 @ np.diag(spec_b) @ dagger(u2)
-        ma = (ma + dagger(ma)) / 2.0
-        mb = (mb + dagger(mb)) / 2.0
+        u1 = random_unitary(dim, rng)
+        u2 = u1 if commuting else random_unitary(dim, rng)
+        ma = u1 @ np.diag(spec_a) @ dagger(u1)
+        mb = u2 @ np.diag(spec_b) @ dagger(u2)
         if not commuting and commutes(ma, mb, 1e-6).commute:
             continue
         out.append((spectral_decompose(ma, cluster_tol), spectral_decompose(mb, cluster_tol)))

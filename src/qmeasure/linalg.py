@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadArgument, DimMismatch, NoConvergence, NotHermitian, NotOrthonormal
+from .errors import BadArgument, ContractError, DimMismatch, NoConvergence, NotHermitian, NotOrthonormal
 
 __all__ = [
     "DEFAULT_TOL",
@@ -56,20 +56,17 @@ def _sealed(a: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square complex matrix.
-
-    Raises
-    ------
-    BadArgument
-        If the array is not square, is empty, or contains NaN/inf entries.
-    """
+    """Coerce to a finite square complex matrix: BadArgument if it is not
+    square, is empty, or has an entry that is NaN or inf or whose modulus
+    overflows to inf."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadArgument(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] < 1:
         raise BadArgument(f"{name} must have dim >= 1")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise BadArgument(f"{name} contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.abs(a)).all():
+            raise BadArgument(f"{name} contains non-finite entries")
     return a
 
 
@@ -85,12 +82,23 @@ def max_abs(m: np.ndarray) -> float:
 
 def require_hermitian(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Check max|A - A*| <= tol * max(1, max|A|), relative to scale as in
-    ``cluster_eigenvalues``, so rounding passes in any units."""
-    a = as_matrix(m, name)
-    dev = max_abs(a - dagger(a))
-    bound = tol * max(1.0, max_abs(a))
-    if dev > bound:
-        raise NotHermitian(f"{name} deviates from its adjoint by {dev:.3e} (bound {bound:.1e})")
+    ``cluster_eigenvalues``, so rounding passes in any units.
+
+    ``m`` is one matrix (coerced by ``as_matrix``) or a stack (n, d, d)
+    computed inside the library; each matrix of a stack is judged on its
+    own scale, and a failure names the worst one.
+    """
+    stack = np.ndim(m) == 3
+    a = np.asarray(m, dtype=complex) if stack else as_matrix(m, name)
+    if stack and not np.isfinite(a).all():
+        raise BadArgument(f"{name} contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf deviation fails, as it should
+        dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bound = tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        i = int(np.argmax(dev - bound))
+    if dev.flat[i] > bound.flat[i]:
+        name += f" {i}" if stack else ""
+        raise NotHermitian(f"{name} deviates from its adjoint by {dev.flat[i]:.3e} (bound {bound.flat[i]:.1e})")
     return a
 
 
@@ -141,69 +149,52 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix deterministically.
+    """Eigendecompose a Hermitian matrix deterministically: ascending
+    eigenvalues and orthonormal eigenvectors, in a degenerate group the
+    solver's own basis, each vector's first component above
+    ``_PHASE_FLOOR`` real positive.  Identical input gives identical bits.
 
-    One LAPACK ``eigh`` of the Hermitian part gives ascending eigenvalues
-    and orthonormal eigenvectors (in a degenerate group, the solver's own
-    basis of the eigenspace); ``_fix_phases`` then makes each vector's
-    first component above ``_PHASE_FLOOR`` real positive.  The solver is
-    deterministic, so identical input gives identical output bit for bit.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix, Hermitian within ``tol`` relative to its scale
-        (see ``require_hermitian``).
-    tol : float
-        Hermiticity tolerance.
-
-    Raises
-    ------
-    NotHermitian
-        If ``m`` deviates from its adjoint by more than
-        ``tol * max(1, max|m|)``.
-    NoConvergence
-        If the underlying solver fails to converge.
+    Raises NotHermitian beyond ``tol * max(1, max|m|)`` (see
+    ``require_hermitian``), NoConvergence if the solver fails and
+    ContractError if an eigenvalue overflows.
     """
-    values, vectors = _eigh(require_hermitian(m, tol))
-    return EigenSystem(values=_sealed(values), vectors=_sealed(_fix_phases(vectors)))
+    values, vectors = _eig_hermitian_stack(m, tol)
+    return EigenSystem(values=_sealed(values), vectors=_sealed(vectors))
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """a/2 + a*/2 of a matrix or a stack of them: halving first keeps
+    entries near the largest double finite, and on any other input gives
+    the bits of (a + a*)/2."""
+    half = a / 2.0
+    half += half.conj().swapaxes(-1, -2)
+    return half
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and raw eigenvectors of the Hermitian part of
-    ``a``, a matrix or a stack of them.
-
-    The part is a/2 + a*/2: halving first keeps entries near the largest
-    double finite, and on any other input gives the bits of (a + a*)/2.
-    """
-    half = a / 2.0
-    half += half.conj().swapaxes(-1, -2)
+    ``a``, a matrix or a stack of them."""
     try:
-        values, vectors = np.linalg.eigh(half)
+        values, vectors = np.linalg.eigh(_hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ContractError("eigenvalues overflow double precision")
     return np.asarray(values, dtype=float), vectors
 
 
-def _eig_hermitian_stack(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """``eig_hermitian`` on every matrix of a stack (n, m, m) at once.
+def _eig_hermitian_stack(a, tol: float = DEFAULT_TOL, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """The one checked eigen path, for a matrix or a stack (n, m, m) of them.
 
-    The same checks (finite entries, max|A - A*| <= tol * max(1, max|A|)),
-    one ``eigh`` and one ``_fix_phases`` for the whole stack; each matrix
-    gets the values and vectors, bit for bit, that it gets alone.
+    One ``require_hermitian``, one ``eigh`` and one ``_fix_phases`` for
+    the whole stack; each matrix gets the values and vectors, bit for
+    bit, that it gets alone.
     """
-    if not np.isfinite(a).all():
-        raise BadArgument("matrix contains non-finite entries")
-    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bound = tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    if (dev > bound).any():
-        i = int(np.argmax(dev - bound))
-        raise NotHermitian(f"matrix {i} deviates from its adjoint by {dev[i]:.3e} (bound {bound[i]:.1e})")
-    values, vectors = _eigh(a)
-    n, m = vectors.shape[:2]
+    values, vectors = _eigh(require_hermitian(a, tol, name))
+    m = vectors.shape[-1]
     # the columns of all the matrices side by side, for one _fix_phases pass
-    fixed = _fix_phases(vectors.swapaxes(0, 1).reshape(m, n * m))
-    return values, fixed.reshape(m, n, m).swapaxes(0, 1)
+    fixed = _fix_phases(vectors.swapaxes(0, -2).reshape(m, -1))
+    return values, fixed.reshape(m, *vectors.shape[:-2], m).swapaxes(0, -2)
 
 
 def _cluster_ranges(values, cluster_tol: float) -> list:
@@ -291,14 +282,24 @@ def commutes(a, b, tol: float = DEFAULT_TOL) -> CommutationResult:
     return CommutationResult(residual <= tol, residual)
 
 
+def _pow2_scaled(x: np.ndarray, norm: float | None = None) -> tuple[np.ndarray, float]:
+    """(x 2^-e, max|x| 2^-e), e bringing max|x| (``norm`` if given) into
+    [0.5, 1), exactly: ``ldexp`` on the real and imaginary parts, since
+    2^-e need not be a double.  A zero x stays zero."""
+    mant, e = np.frexp(max_abs(x) if norm is None else norm)
+    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), -e).view(complex), float(mant)
+
+
 def _relative_commutator(a: np.ndarray, b: np.ndarray, b_norm: float | None = None) -> float:
     """max|[A, B]| / (max|A| max|B|), 0 when either operator is zero.
 
     Rescaling either operator leaves this unchanged, so a verdict judged
-    on it does not depend on the units the operators are given in.
-    ``b_norm`` is max|B| when the caller already has it.
+    on it does not depend on the units the operators are given in.  It
+    is read at the scale of ``_pow2_scaled``, where the products neither
+    overflow nor underflow.  ``b_norm`` is max|B| if the caller has it.
     """
-    scale = max_abs(a) * (max_abs(b) if b_norm is None else b_norm)
+    (a, a_norm), (b, b_norm) = _pow2_scaled(a), _pow2_scaled(b, b_norm)
+    scale = a_norm * b_norm
     return commutes(a, b).residual / scale if scale > 0 else 0.0
 
 

@@ -10,6 +10,7 @@ Every check here works on stacked blocks, at O(d^3) once for any number
 of outcomes.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,15 +25,14 @@ from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
     _cluster_ranges,
-    _eigh,
-    _fix_phases,
+    _eig_hermitian_stack,
     _groups,
     _sealed,
+    as_matrix,
     dagger,
     eig_hermitian,
     freeze,
     max_abs,
-    require_hermitian,
     require_same_dim,
 )
 
@@ -148,10 +148,17 @@ def spectral_decompose(m, cluster_tol: float = DEFAULT_CLUSTER_TOL, tol: float =
     eigsys = eig_hermitian(m, tol)
     vals, vecs = eigsys.values, eigsys.vectors
     pairs = tuple(
-        SpectralPair(float(vals[a]) if b - a == 1 else float(np.mean(vals[a:b])), _sealed(vecs[:, a:b].copy()))
+        SpectralPair(float(vals[a]) if b - a == 1 else _mean(vals[a:b]), _sealed(vecs[:, a:b].copy()))
         for a, b in _cluster_ranges(vals, cluster_tol)
     )
     return Observable(dim=eigsys.dim, pairs=pairs)
+
+
+def _mean(values: np.ndarray) -> float:
+    """np.mean of an ascending cluster, or the sum of value / count where the sum could overflow."""
+    if max(-values[0], values[-1]) <= sys.float_info.max / len(values):
+        return float(np.mean(values))
+    return float(np.sum(values / len(values)))
 
 
 def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
@@ -161,16 +168,16 @@ def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
     Hermitian with eigenvalues 0 and 1 only and a non-empty range, the
     eigenvalues distinct, and the range bases B_k side by side must form
     a square B with B*B = I, which makes the family orthogonal and complete.
+    All projectors are decomposed in one stacked ``eig_hermitian``; a
+    failing one is named by its position in ascending eigenvalue order.
     """
-    items = sorted(
-        ((float(v), require_hermitian(p, tol, "projector")) for v, p in pairs),
-        key=lambda it: it[0],
-    )
+    items = sorted(((float(v), as_matrix(p, "projector")) for v, p in pairs), key=lambda it: it[0])
     for (a, _), (b, _) in zip(items, items[1:]):
         if not (b > a):
             raise ValidationError(f"eigenvalues must be distinct, got {a!r} twice")
     dim = require_same_dim(*(p for _, p in items))
-    spairs = tuple(SpectralPair(v, _range_basis(p, tol)) for v, p in items)
+    values, vectors = _eig_hermitian_stack(np.stack([p for _, p in items]), tol, "projector")
+    spairs = tuple(SpectralPair(v, _range_basis(vals, vecs, tol)) for (v, _), vals, vecs in zip(items, values, vectors))
     full = np.hstack([pair.basis for pair in spairs])
     if full.shape[1] != dim:
         raise ValidationError("multiplicities do not sum to the dimension")
@@ -180,16 +187,15 @@ def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
     return Observable(dim=dim, pairs=spairs)
 
 
-def _range_basis(p: np.ndarray, tol: float) -> np.ndarray:
-    """The columns of ``eig_hermitian(p).vectors`` with eigenvalue above 1/2, bit for bit."""
-    values, vectors = _eigh(p)
+def _range_basis(values: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
+    """The eigenvectors above 1/2 of a projector, once its eigenvalues are checked to be 0 and 1."""
     first = int(np.searchsorted(values, 0.5, side="right"))
     idem = max(max_abs(values[:first]), max_abs(values[first:] - 1.0))
     if idem > tol:
         raise ValidationError(f"projector not idempotent, residual {idem:.3e}")
     if first == len(values):
         raise ValidationError("projector has an empty range")
-    return _fix_phases(vectors)[:, first:]
+    return vectors[:, first:]
 
 
 def reconstruct(obs: Observable) -> np.ndarray:

@@ -14,7 +14,7 @@ from .errors import (
     WeightSum,
     ZeroVector,
 )
-from .linalg import DEFAULT_TOL, _rng, as_matrix, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _hermitian_part, _rng, as_matrix, dagger, freeze, max_abs
 
 __all__ = [
     "DensityOperator",
@@ -139,16 +139,16 @@ def validate(z, tol: float = DEFAULT_TOL) -> DensityOperator:
     """
     # as_matrix also covers wrapped states, which state_matrix passes through unchecked
     m = as_matrix(state_matrix(z), "state")
-    dev = max_abs(m - dagger(m))
+    with np.errstate(over="ignore"):  # near the largest double these read inf, and fail
+        dev, tr = max_abs(m - dagger(m)), float(np.trace(m).real)
     if dev > tol:
         raise NotHermitian(f"state deviates from its adjoint by {dev:.3e}")
     try:
-        lowest = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
+        lowest = float(np.linalg.eigvalsh(_hermitian_part(m))[0])
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    if lowest < -tol:
+    if not lowest >= -tol:
         raise NotPositive(f"most negative eigenvalue {lowest!r}")
-    tr = float(np.trace(m).real)
     if abs(tr - 1.0) > tol:
         raise NotNormalized(f"trace {tr!r}, expected 1")
     return DensityOperator(m)

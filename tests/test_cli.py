@@ -474,14 +474,39 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode", ["exact", "sampled", "both"])
     @pytest.mark.parametrize("partner", ["sz", "same"])
     def test_overflowing_residual_is_4(self, put, mode, partner):
+        # the name is kept from when an unscaled commutator overflowed and
+        # exited 4; read at a power-of-two scale, it gives a verdict
         big = put("big.txt", [[1e308, 1e308], [1e308, -1e308]])
         s = big if partner == "same" else put("s.txt", SZ)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(["compat", "--r", big, "--s", s, "--mode", mode, "--format", "machine"])
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: ContractError:") and err.count("\n") == 1
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        if partner == "same":
+            assert lines[-1] == "verdict c1=true c2=true comm=true"
+            assert "comm_residual=0.0" in lines
+        else:
+            assert lines[-1] == "verdict c1=false c2=false comm=false"
+            assert "comm_residual=1.9999999999999996" in lines
+
+    def test_state_with_entries_near_the_largest_double_is_3(self, put):
+        # eigenvalues 0.5 -+ 1e308: not a state, and no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(
+                ["born", "--observable", put("o.txt", SZ), "--state", put("z.txt", [[0.5, 1e308], [1e308, 0.5]])]
+            )
+        assert (code, out) == (3, "")
+        assert err == "error: NotPositive: most negative eigenvalue -1e+308\n"
+
+    def test_constraint_near_the_largest_double_admits_no_states_3(self, put):
+        big = put("n.txt", [[1e308, 1e308], [1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["constraint", "--n", big, "--r", put("r.txt", SZ), "--random", "2"])
+        assert (code, out) == (3, "")
+        assert err == "error: ValidationError: constraint admits no states (kernel is trivial)\n"
 
     @pytest.mark.parametrize(
         "argv",

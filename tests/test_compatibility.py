@@ -1,6 +1,7 @@
 """Compatibility conditions, the lemma, frame changes, and theta variants."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,13 @@ class TestHeisenberg:
         with pytest.raises(NotUnitary):
             heisenberg_observable(Z_OBS, np.diag([1.0, 2.0]))
 
+    def test_rejects_entries_whose_product_is_nan(self):
+        # U*U holds inf - inf = NaN, which no tolerance may pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitary):
+                heisenberg_observable(Z_OBS, [[1e308, 1e308], [1e308, -1e308]])
+
 
 class TestCompatReport:
     def test_commuting_pair(self):
@@ -273,18 +281,28 @@ def _decisive_failure_at(k, j, l, exact_only=False):
 
 
 class TestNonFiniteResiduals:
-    """A residual that overflowed is no verdict: ContractError, exit 4."""
+    """A residual that is not finite is no verdict: ContractError, exit 4.
+    The commutator of operators near the largest double is read at a
+    power-of-two scale, so it is finite and gives a verdict."""
 
     BIG = spectral_decompose(np.array([[1e308, 1e308], [1e308, -1e308]]))
 
     def test_observable_near_the_largest_double_decomposes(self):
         assert np.isfinite(self.BIG.eigenvalues).all()
 
+    # the name is kept from when an unscaled commutator overflowed here
     @pytest.mark.parametrize("partner", ["z", "same"])
     def test_overflowing_commutator_raises(self, partner):
         s = self.BIG if partner == "same" else Z_OBS
-        with pytest.raises(ContractError, match="commutator residual is not finite"):
-            compat_report(self.BIG, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compat_report(self.BIG, s)
+        verdict = (report.verdict_condition1, report.verdict_condition2, report.verdict_commute)
+        if partner == "same":
+            assert verdict == (True, True, True) and report.commutator_residual == 0.0
+        else:
+            assert verdict == (False, False, False)
+            assert report.commutator_residual == 1.9999999999999996
 
     @pytest.mark.parametrize("check", [condition1_holds, condition2_holds])
     @pytest.mark.parametrize("mode", ["exact", "sampled"])

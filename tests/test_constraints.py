@@ -1,5 +1,7 @@
 """Constraint operators, measurability, and branch preservation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from qmeasure.errors import (
     DimMismatch,
     ValidationError,
 )
-from qmeasure.linalg import commutes, dagger, max_abs
+from qmeasure.linalg import commutes, dagger, eig_hermitian, max_abs
 from qmeasure.observables import spectral_decompose
 from qmeasure.states import from_pure, random_density, validate
 
@@ -174,6 +176,19 @@ class TestKernel:
     def test_full_rank_constraint_kernel_empty(self):
         p = kernel_projector(Constraint(np.eye(3)))
         assert max_abs(p) < 1e-12
+
+    def test_full_rank_constraint_near_the_largest_double_has_an_empty_kernel(self):
+        # N*N would overflow; at a power-of-two scale it is full rank
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = kernel_projector(Constraint([[1e308, 1e308], [1e308, -1e308]]))
+        assert max_abs(p) == 0.0
+
+    def test_exchange_kernel_keeps_its_bits(self):
+        # max|N| = 0.5 sits in [0.5, 1) already, so the scaling is the identity
+        eigsys = eig_hermitian(dagger(N_SYM.operator) @ N_SYM.operator)
+        block = eigsys.vectors[:, eigsys.values <= 1e-9]
+        assert kernel_projector(N_SYM).tobytes() == (block @ dagger(block)).tobytes()
 
 
 class TestRandomConstrained:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qmeasure.errors import BadArgument, DimMismatch, NotHermitian, NotOrthonormal, QMeasureError
+from qmeasure.errors import BadArgument, ContractError, DimMismatch, NotHermitian, NotOrthonormal, QMeasureError
 from qmeasure.linalg import (
     _PHASE_FLOOR,
     _eig_hermitian_stack,
     _eigh,
     _fix_phases,
+    _relative_commutator,
     _rng,
     as_matrix,
     cluster_eigenvalues,
@@ -209,6 +210,23 @@ class TestExtremeScale:
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
 
+    def test_degenerate_eigenvalue_near_the_largest_double_is_its_mean(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = spectral_decompose(np.diag([1e308, 1e308, 1e308, -1.0]))
+        assert obs.eigenvalues == [-1.0, 1e308] and obs.multiplicities == [1, 3]
+
+    def test_eigenvalue_beyond_the_largest_double_is_a_contract_error(self):
+        # the eigenvalues of this finite matrix are 0, 0 and 3e308
+        with pytest.raises(ContractError, match="eigenvalues overflow"):
+            eig_hermitian(np.full((3, 3), 1e308))
+
+    def test_entry_whose_modulus_overflows_is_non_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadArgument, match="non-finite"):
+                as_matrix([[1.7e308 + 1.7e308j]])
+
     def test_clustering_an_infinite_gap_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -300,6 +318,19 @@ class TestCommutes:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             commutes(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("exponent", [-1060, -1000, 1000])
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_relative_commutator_keeps_its_bits_at_any_power_of_two(self, exponent, seed):
+        # unscaled, [A, B] underflows to 0 or overflows to inf; at 2^-1060
+        # the entries are subnormal, and so is max|A|, read to ~16 bits
+        a = random_hermitian(4, seed) * 2.0**exponent
+        b = random_hermitian(4, seed + 1)
+        want = _relative_commutator(a * 2.0 ** (-exponent // 2) * 2.0 ** (-exponent // 2), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _relative_commutator(a, b * 2.0 ** (np.sign(exponent) * 60))
+        assert got == want if exponent > -1022 else got == pytest.approx(want, rel=1e-4)
 
 
 class TestHelpers:

@@ -121,6 +121,30 @@ def test_parse_matrix_reports_line_number():
     assert ":3:" in str(err.value)
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_matrix, "dim " + "1" * 5000),
+        (parse_matrix, "dim 1\n1.0\n" + LONG),
+        (parse_matrix, "dim 1\n" + LONG),
+        (parse_matrix, "dim 1\n1.0" + "0" * 5000 + "i1"),
+        (parse_matrix, "dim 1\n1e999" + "0" * 5000),
+        (parse_observable_text, "spectral\ndim 1\npairs " + LONG),
+        (parse_observable_text, "spectral\ndim 1\npairs 1\n" + LONG),
+        (parse_observable_text, "spectral\ndim 1\npairs 1\neigenvalue " + LONG),
+    ],
+    ids=["dim", "trailing", "row", "entry", "non-finite", "pairs", "eigenvalue-header", "eigenvalue"],
+)
+def test_parse_errors_quote_at_most_80_characters(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text, "long")
+    message = str(err.value)
+    assert len(message) < 160 and message.endswith("...")
+
+
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
     m = np.array([[0.5, 0.25 - 0.1j], [0.25 + 0.1j, 0.5]])

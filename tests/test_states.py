@@ -1,5 +1,7 @@
 """Density operators: construction, mixing, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,19 @@ class TestValidate:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):
             validate(np.eye(2) / 2.0)
+
+    def test_off_diagonal_near_the_largest_double_is_not_positive(self):
+        # eigenvalues 0.5 -+ 1e308: the Hermitian part must not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositive, match="-1e\\+308"):
+                validate(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
+    def test_diagonal_near_the_largest_double_is_silently_not_normalized(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalized, match="trace inf"):
+                validate(np.diag([1e308, 1e308]))
 
     def test_tolerance_is_respected(self):
         validate(np.diag([1.0 + 5e-10, -2e-10]), tol=1e-9)
