@@ -24,7 +24,7 @@ from .errors import (
     DimMismatch,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, _pow2_scaled, _relative_commutator, _rng, as_matrix, dagger, eig_hermitian, freeze, max_abs
+from .linalg import DEFAULT_TOL, _ldexp, _pow2_scaled, _relative_commutator, _rng, as_matrix, dagger, eig_hermitian, freeze, max_abs
 from .channels import lueders_select
 from .observables import Observable, reconstruct
 from .states import DensityOperator, random_density, state_matrix
@@ -150,7 +150,7 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
         op, op_norm = _pow2_scaled(op)  # exact, and V* N V cannot overflow
         leak = max_abs((dagger(v) @ op @ v)[off_block])
         verdict = verdict and leak <= tol * op_norm
-        verdict = verdict and _relative_commutator(full, op, op_norm) <= tol
+        verdict = verdict and _relative_commutator(full, op) <= tol
     return verdict
 
 
@@ -212,10 +212,12 @@ def kernel_projector(n, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the joint kernel of the constraint(s)."""
     ops = _operators(n)
     dim = ops[0].shape[0]
-    # kernel of N is kernel of N*N, Hermitian and positive; finite at N's power-of-two scale
+    # kernel of N is kernel of N*N, Hermitian and positive.  Operators beyond 2^256 go down together to
+    # [2^255, 2^256): N*N stays finite, its top eigenvalue (>= max|N|^2) above 1, the threshold relative
+    e = max(0, int(np.frexp(max(map(max_abs, ops)))[1]) - 256)
     gram = np.zeros((dim, dim), dtype=complex)
     for op in ops:
-        op = _pow2_scaled(op)[0]
+        op = _ldexp(op, -e)
         gram += dagger(op) @ op
     eigsys = eig_hermitian(gram, tol)
     scale = max(1.0, float(eigsys.values[-1]))

@@ -81,23 +81,22 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def require_hermitian(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
-    """Check max|A - A*| <= tol * max(1, max|A|), relative to scale as in
-    ``cluster_eigenvalues``, so rounding passes in any units.
+    """Coerce ``m`` by ``as_matrix`` and check max|A - A*| <= tol * max(1, max|A|),
+    relative to scale as in ``cluster_eigenvalues``, so rounding passes in any units."""
+    return _require_hermitian(as_matrix(m, name), tol, name)
 
-    ``m`` is one matrix (coerced by ``as_matrix``) or a stack (n, d, d)
-    computed inside the library; each matrix of a stack is judged on its
-    own scale, and a failure names the worst one.
-    """
-    stack = np.ndim(m) == 3
-    a = np.asarray(m, dtype=complex) if stack else as_matrix(m, name)
-    if stack and not np.isfinite(a).all():
+
+def _require_hermitian(a: np.ndarray, tol: float, name: str, first: int = 0) -> np.ndarray:
+    """``require_hermitian`` on a coerced matrix, or on a library-built stack (n, d, d) whose
+    matrices are each judged on their own scale; a failure names the worst, counting from ``first``."""
+    if a.ndim == 3 and not np.isfinite(a).all():
         raise BadArgument(f"{name} contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf deviation fails, as it should
         dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         bound = tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
         i = int(np.argmax(dev - bound))
     if dev.flat[i] > bound.flat[i]:
-        name += f" {i}" if stack else ""
+        name += f" {first + i}" if a.ndim == 3 else ""
         raise NotHermitian(f"{name} deviates from its adjoint by {dev.flat[i]:.3e} (bound {bound.flat[i]:.1e})")
     return a
 
@@ -158,7 +157,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     ``require_hermitian``), NoConvergence if the solver fails and
     ContractError if an eigenvalue overflows.
     """
-    values, vectors = _eig_hermitian_stack(m, tol)
+    values, vectors = _eig_hermitian_stack(as_matrix(m), tol)
     return EigenSystem(values=_sealed(values), vectors=_sealed(vectors))
 
 
@@ -183,14 +182,11 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(values, dtype=float), vectors
 
 
-def _eig_hermitian_stack(a, tol: float = DEFAULT_TOL, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """The one checked eigen path, for a matrix or a stack (n, m, m) of them.
-
-    One ``require_hermitian``, one ``eigh`` and one ``_fix_phases`` for
-    the whole stack; each matrix gets the values and vectors, bit for
-    bit, that it gets alone.
-    """
-    values, vectors = _eigh(require_hermitian(a, tol, name))
+def _eig_hermitian_stack(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix", first: int = 0):
+    """The one checked eigen path, (values, vectors) of a coerced matrix or a library-built
+    stack (n, m, m): one ``_require_hermitian``, one ``eigh`` and one ``_fix_phases``
+    for the whole stack, each matrix getting the bits it gets alone."""
+    values, vectors = _eigh(_require_hermitian(a, tol, name, first))
     m = vectors.shape[-1]
     # the columns of all the matrices side by side, for one _fix_phases pass
     fixed = _fix_phases(vectors.swapaxes(0, -2).reshape(m, -1))
@@ -250,13 +246,8 @@ def projector_from_basis(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     ``vectors`` is a (dim, k) array of columns, one vector, or a sequence
     of k vectors (read by ``_columns``).  The result is Hermitian,
-    idempotent, and has trace k.
-
-    Raises
-    ------
-    NotOrthonormal
-        If the family's Gram matrix deviates from the identity by more
-        than ``tol``.
+    idempotent, and has trace k.  Raises NotOrthonormal if the family's
+    Gram matrix deviates from the identity by more than ``tol``.
     """
     v = _columns(vectors)
     gram = dagger(v) @ v
@@ -267,14 +258,8 @@ def projector_from_basis(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def commutes(a, b, tol: float = DEFAULT_TOL) -> CommutationResult:
-    """Check whether two matrices commute; always report the residual.
-
-    Returns
-    -------
-    CommutationResult
-        ``commute`` is true iff ``max_abs(AB - BA) <= tol``; ``residual``
-        is that norm.
-    """
+    """Check whether two matrices commute; always report the residual:
+    ``commute`` is true iff ``max_abs(AB - BA) <= tol``, ``residual`` is that norm."""
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
     require_same_dim(am, bm)
@@ -282,23 +267,26 @@ def commutes(a, b, tol: float = DEFAULT_TOL) -> CommutationResult:
     return CommutationResult(residual <= tol, residual)
 
 
-def _pow2_scaled(x: np.ndarray, norm: float | None = None) -> tuple[np.ndarray, float]:
-    """(x 2^-e, max|x| 2^-e), e bringing max|x| (``norm`` if given) into
-    [0.5, 1), exactly: ``ldexp`` on the real and imaginary parts, since
-    2^-e need not be a double.  A zero x stays zero."""
-    mant, e = np.frexp(max_abs(x) if norm is None else norm)
-    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), -e).view(complex), float(mant)
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """x 2^e, exactly: ``ldexp`` on the real and imaginary parts, since 2^e need not be a double."""
+    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), e).view(complex)
 
 
-def _relative_commutator(a: np.ndarray, b: np.ndarray, b_norm: float | None = None) -> float:
+def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x 2^-e, max|x| 2^-e), e bringing max|x| into [0.5, 1).  A zero x stays zero."""
+    mant, e = np.frexp(max_abs(x))
+    return _ldexp(x, -e), float(mant)
+
+
+def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
     """max|[A, B]| / (max|A| max|B|), 0 when either operator is zero.
 
     Rescaling either operator leaves this unchanged, so a verdict judged
     on it does not depend on the units the operators are given in.  It
     is read at the scale of ``_pow2_scaled``, where the products neither
-    overflow nor underflow.  ``b_norm`` is max|B| if the caller has it.
+    overflow nor underflow.
     """
-    (a, a_norm), (b, b_norm) = _pow2_scaled(a), _pow2_scaled(b, b_norm)
+    (a, a_norm), (b, b_norm) = _pow2_scaled(a), _pow2_scaled(b)
     scale = a_norm * b_norm
     return commutes(a, b).residual / scale if scale > 0 else 0.0
 

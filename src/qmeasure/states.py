@@ -139,8 +139,8 @@ def validate(z, tol: float = DEFAULT_TOL) -> DensityOperator:
     """
     # as_matrix also covers wrapped states, which state_matrix passes through unchecked
     m = as_matrix(state_matrix(z), "state")
-    with np.errstate(over="ignore"):  # near the largest double these read inf, and fail
-        dev, tr = max_abs(m - dagger(m)), float(np.trace(m).real)
+    with np.errstate(over="ignore"):  # near the largest double this reads inf, and fails
+        dev = max_abs(m - dagger(m))
     if dev > tol:
         raise NotHermitian(f"state deviates from its adjoint by {dev:.3e}")
     try:
@@ -149,6 +149,8 @@ def validate(z, tol: float = DEFAULT_TOL) -> DensityOperator:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     if not lowest >= -tol:
         raise NotPositive(f"most negative eigenvalue {lowest!r}")
+    with np.errstate(over="ignore"):  # a positive diagonal sums to inf at worst, never NaN
+        tr = float(np.trace(m).real)
     if abs(tr - 1.0) > tol:
         raise NotNormalized(f"trace {tr!r}, expected 1")
     return DensityOperator(m)

@@ -184,8 +184,16 @@ class TestKernel:
             p = kernel_projector(Constraint([[1e308, 1e308], [1e308, -1e308]]))
         assert max_abs(p) == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-3, 2.0**300, 2.0**700])
+    def test_threshold_is_the_unscaled_one(self, scale):
+        # N*N has eigenvalues 1 and 3.6e-9 against tol * max(1, 1) = 1e-9: no kernel.
+        # Scaled down by a power of two, 3.6e-9 * 2^-6 would fall below 1e-9; operators
+        # below 2^256 keep their scale, those above it keep a relative threshold.
+        n = np.diag([1.0, 6e-5]) * scale
+        assert max_abs(kernel_projector(Constraint(n))) == (1.0 if scale < 1.0 else 0.0)
+
     def test_exchange_kernel_keeps_its_bits(self):
-        # max|N| = 0.5 sits in [0.5, 1) already, so the scaling is the identity
+        # max|N| = 0.5 is below 2^256, so the operator is not scaled
         eigsys = eig_hermitian(dagger(N_SYM.operator) @ N_SYM.operator)
         block = eigsys.vectors[:, eigsys.values <= 1e-9]
         assert kernel_projector(N_SYM).tobytes() == (block @ dagger(block)).tobytes()

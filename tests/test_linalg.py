@@ -25,6 +25,7 @@ from qmeasure.linalg import (
     require_hermitian,
     require_same_dim,
 )
+from qmeasure.compatibility import lemma_check
 from qmeasure.matrixio import format_matrix
 from qmeasure.observables import spectral_decompose
 
@@ -343,6 +344,13 @@ class TestHelpers:
     def test_require_hermitian_raises(self):
         with pytest.raises(NotHermitian):
             require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-9)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 3, 4), (2, 0, 0)])
+    def test_public_checks_take_one_matrix_only(self, shape):
+        a = np.zeros(shape)
+        for check in (require_hermitian, eig_hermitian, spectral_decompose, lambda m: lemma_check(m, m)):
+            with pytest.raises(BadArgument, match="must be square"):
+                check(a)
 
     def test_require_same_dim(self):
         with pytest.raises(DimMismatch):

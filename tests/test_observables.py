@@ -1,11 +1,13 @@
 """Spectral decomposition and the projector-family invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmeasure.errors import BadOutcomeIndex, DimMismatch, NotHermitian, ValidationError
-from qmeasure.linalg import dagger, max_abs, random_unitary
+from qmeasure.linalg import dagger, eig_hermitian, max_abs, random_unitary
 from qmeasure.observables import (
     Observable,
     SpectralPair,
@@ -176,6 +178,22 @@ class TestObservableFromPairs:
         p = np.full((2, 2), 0.5)
         with pytest.raises(ValidationError):
             observable_from_pairs([(1.0, p), (2.0, np.diag([1.0, 0.0]))])
+
+    def test_stack_chunks_keep_bits_and_names(self):
+        # d=64 decomposes four projectors a stacked call
+        u = random_unitary(64, 3)
+        projectors = [np.outer(u[:, k], u[:, k].conj()) for k in range(64)]
+        tracemalloc.start()
+        obs = observable_from_pairs([(float(k), p) for k, p in enumerate(projectors)])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4e6  # one stack of all 64 projectors alone takes 4.2 MB
+        for k, pair in enumerate(obs.pairs):
+            alone = eig_hermitian(projectors[k]).vectors[:, -1:]
+            assert pair.basis.tobytes() == alone.tobytes()
+        projectors[9] = projectors[9] + np.triu(np.full((64, 64), 1e-6), 1)
+        with pytest.raises(NotHermitian, match="projector 9 "):
+            observable_from_pairs([(float(k), p) for k, p in enumerate(projectors)])
 
 
 class TestRefinement:

@@ -136,6 +136,9 @@ class TestValidate:
             warnings.simplefilter("error")
             with pytest.raises(NotNormalized, match="trace inf"):
                 validate(np.diag([1e308, 1e308]))
+            # numpy's trace of this diagonal reads inf + -inf; positivity fails first
+            with pytest.raises(NotPositive, match="-1e\\+308"):
+                validate(np.diag(np.repeat([1e308, -1e308], 64)))
 
     def test_tolerance_is_respected(self):
         validate(np.diag([1.0 + 5e-10, -2e-10]), tol=1e-9)
