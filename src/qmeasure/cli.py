@@ -193,14 +193,9 @@ def cmd_constraint(args, cfg: RunConfig, out) -> int:
         rng = np.random.default_rng(cfg.seed)
         states = [random_constrained_density(constraint, rng, tol=cfg.tol) for _ in range(args.random)]
 
-    # worst residual per outcome over all states
-    worst = {}
-    for z in states:
-        for row in preserves_constraint(r, constraint, z, cfg.tol):
-            prev = worst.get(row.outcome)
-            if prev is None or row.residual > prev.residual:
-                worst[row.outcome] = row
-    rows = [worst[k] for k in sorted(worst)]
+    # worst residual per outcome over all states, the first of equal ones
+    table = [preserves_constraint(r, constraint, z, cfg.tol) for z in states]
+    rows = [max(column, key=lambda row: row.residual) for column in zip(*table)]
 
     if cfg.output_format == "machine":
         print(f"measurable={_fmt_bool(measurable)}", file=out)

@@ -195,11 +195,12 @@ def _result(worst: float, at, zs, tol: float) -> ConditionResult:
 def _last_max(res: np.ndarray, name: str) -> tuple:
     """Index of the last maximal entry in C order: the scan order, where a later tie wins.
 
-    A non-finite residual means the operators overflowed double
-    precision, and no verdict can be read from it: ContractError.
+    The residuals are read from orthonormal blocks, so a non-finite one
+    comes from a non-finite entry in a block, and no verdict can be read
+    from it: ContractError.
     """
     if not np.isfinite(res).all():
-        raise ContractError(f"{name} residual is not finite; the operators overflow double precision")
+        raise ContractError(f"{name} residual is not finite; a basis or target block has a non-finite entry")
     flat = np.flatnonzero(res == res.max())[-1]
     return tuple(int(i) for i in np.unravel_index(flat, res.shape))
 

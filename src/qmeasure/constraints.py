@@ -10,6 +10,15 @@ The classic instance is a pair of identical particles: the exchange
 constraint (1 -+ SWAP)/2 confines states to the symmetric (bosonic) or
 antisymmetric (fermionic) sector, and only exchange-symmetric observables
 are measurable.
+
+Each function reads its constraint once, every member as a pair
+(N, max(1, max|N|)).  Every verdict on N Z, input state or branch, is
+max|N Z| <= tol max(1, max|N|): absolute for max|N| <= 1, relative to
+scale above it.  Random constrained states are drawn inside the kernel, so
+every draw satisfies the constraint.  ``measurable_under`` keeps two
+routes, the block leak of V* N V and the full commutator, and requires
+both: on near-commuting pairs the leak alone admits some the commutator
+rejects.
 """
 
 from dataclasses import dataclass
@@ -17,17 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadDim,
-    ConstraintViolatedOnInput,
-    ContractError,
-    DimMismatch,
-    ValidationError,
-)
-from .linalg import DEFAULT_TOL, _ldexp, _pow2_scaled, _relative_commutator, _rng, as_matrix, dagger, eig_hermitian, freeze, max_abs
+from .errors import BadDim, ConstraintViolatedOnInput, DimMismatch, ValidationError
+from .linalg import DEFAULT_TOL, _ldexp, _pow2_scaled, _relative_commutator, as_matrix, dagger, eig_hermitian, freeze, max_abs
 from .channels import lueders_select
 from .observables import Observable, reconstruct
-from .states import DensityOperator, random_density, state_matrix
+from .states import DensityOperator, _gaussian, state_matrix
 
 __all__ = [
     "Constraint",
@@ -96,16 +99,6 @@ class ConstraintSet:
         return self.members[0].dim
 
 
-def _operators(n) -> list:
-    if isinstance(n, Constraint):
-        return [n.operator]
-    if isinstance(n, ConstraintSet):
-        return [m.operator for m in n.members]
-    if isinstance(n, (list, tuple)):
-        return [m.operator for m in ConstraintSet(n).members]
-    return [as_matrix(n, "constraint operator")]
-
-
 class SatisfactionResult(NamedTuple):
     satisfied: bool
     residual: float
@@ -118,15 +111,47 @@ class OutcomePreservation(NamedTuple):
     residual: float
 
 
+def _operators(n, dim: int | None = None) -> tuple:
+    """The one reading of a constraint: each member as (N, max(1, max|N|)).
+
+    A ``dim`` other than the members' own raises DimMismatch.
+    """
+    if isinstance(n, (list, tuple)):
+        n = ConstraintSet(n)
+    members = n.members if isinstance(n, ConstraintSet) else (n if isinstance(n, Constraint) else Constraint(n),)
+    if dim is not None and members[0].dim != dim:
+        raise DimMismatch(f"constraint dim {members[0].dim} does not match dim {dim}")
+    return tuple((m.operator, max(1.0, max_abs(m.operator))) for m in members)
+
+
+def _violation(ops, m: np.ndarray, tol: float) -> SatisfactionResult:
+    """The one rule on N M = 0: the worst max|N M| / max(1, max|N|) must be at most tol.
+
+    It is read as max|(N / max(1, max|N|)) M|, so N M cannot overflow;
+    for max|N| <= 1 that divides by 1.0 and the residual is the absolute one.
+    """
+    residual = max(max_abs((op / scale) @ m) for op, scale in ops)
+    return SatisfactionResult(residual <= tol, residual)
+
+
+def _kernel_basis(ops, tol: float) -> np.ndarray:
+    """Orthonormal columns B (d x k, k may be 0) spanning the joint kernel of the members."""
+    dim = ops[0][0].shape[0]
+    # kernel of N is kernel of N*N, Hermitian and positive.  Operators beyond 2^256 go down together to
+    # [2^255, 2^256): N*N stays finite, its top eigenvalue (>= max|N|^2) above 1, the threshold relative
+    e = max(0, int(np.frexp(max(scale for _, scale in ops))[1]) - 256)
+    gram = np.zeros((dim, dim), dtype=complex)
+    for op, _ in ops:
+        op = _ldexp(op, -e)
+        gram += dagger(op) @ op
+    eigsys = eig_hermitian(gram, tol)
+    return eigsys.vectors[:, eigsys.values <= tol * max(1.0, float(eigsys.values[-1]))]
+
+
 def satisfies(z, n, tol: float = DEFAULT_TOL) -> SatisfactionResult:
-    """Is N Z = 0 (for every member, if given a set)?  Residual always reported."""
+    """Is N Z = 0 (for every member, if given a set)?  Residual always reported, relative to max(1, max|N|)."""
     zm = state_matrix(z)
-    worst = 0.0
-    for op in _operators(n):
-        if op.shape[0] != zm.shape[0]:
-            raise DimMismatch(f"constraint dim {op.shape[0]} vs state dim {zm.shape[0]}")
-        worst = max(worst, max_abs(op @ zm))
-    return SatisfactionResult(worst <= tol, worst)
+    return _violation(_operators(n, zm.shape[0]), zm, tol)
 
 
 def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
@@ -138,15 +163,12 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     well, and the conjunction of the two routes is returned; neither
     depends on the units of r or of N.
     """
-    ops = _operators(n)
-    for op in ops:
-        if op.shape[0] != r.dim:
-            raise DimMismatch(f"constraint dim {op.shape[0]} vs observable dim {r.dim}")
+    ops = _operators(n, r.dim)
     full = reconstruct(r)
     v = r.full_basis()
     off_block = r.labels[:, None] != r.labels
     verdict = True
-    for op in ops:
+    for op, _ in ops:
         op, op_norm = _pow2_scaled(op)  # exact, and V* N V cannot overflow
         leak = max_abs((dagger(v) @ op @ v)[off_block])
         verdict = verdict and leak <= tol * op_norm
@@ -160,36 +182,19 @@ def preserves_constraint(r: Observable, n, z, tol: float = DEFAULT_TOL) -> list:
     The input state must already satisfy the constraint; measuring a
     constraint-commuting observable then provably keeps every branch in
     the constrained subspace, and this evaluates the claim instance by
-    instance.
+    instance.  Input and branches are judged by the rule of ``satisfies``.
     """
-    ops = _operators(n)
-    status = satisfies(z, n, tol)
+    zm = state_matrix(z)
+    ops = _operators(n, zm.shape[0])
+    status = _violation(ops, zm, tol)
     if not status.satisfied:
         raise ConstraintViolatedOnInput(
             f"input state violates the constraint (residual {status.residual:.3e})"
         )
-    results = []
-    for k, pair in enumerate(r.pairs):
-        branch = lueders_select(r, k, z)
-        residual = max(max_abs(op @ branch.matrix) for op in ops)
-        results.append(
-            OutcomePreservation(
-                outcome=k,
-                eigenvalue=pair.eigenvalue,
-                preserved=residual <= tol,
-                residual=residual,
-            )
-        )
-    return results
-
-
-def _swap_matrix(local_dim: int) -> np.ndarray:
-    dim = local_dim * local_dim
-    s = np.zeros((dim, dim), dtype=complex)
-    for i in range(local_dim):
-        for j in range(local_dim):
-            s[i * local_dim + j, j * local_dim + i] = 1.0
-    return s
+    return [
+        OutcomePreservation(k, pair.eigenvalue, *_violation(ops, lueders_select(r, k, z).matrix, tol))
+        for k, pair in enumerate(r.pairs)
+    ]
 
 
 def make_exchange_constraint(local_dim: int, symmetric: bool) -> Constraint:
@@ -201,50 +206,32 @@ def make_exchange_constraint(local_dim: int, symmetric: bool) -> Constraint:
     """
     if local_dim < 2:
         raise BadDim(f"local dimension must be at least 2, got {local_dim}")
-    swap = _swap_matrix(local_dim)
     eye = np.eye(local_dim * local_dim, dtype=complex)
+    # SWAP |i j> = |j i>: its row i d + j is row j d + i of the identity
+    swap = eye[np.arange(local_dim * local_dim).reshape(local_dim, local_dim).T.reshape(-1)]
     if symmetric:
         return Constraint((eye - swap) / 2.0, label="exchange-symmetric")
     return Constraint((eye + swap) / 2.0, label="exchange-antisymmetric")
 
 
 def kernel_projector(n, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the joint kernel of the constraint(s)."""
-    ops = _operators(n)
-    dim = ops[0].shape[0]
-    # kernel of N is kernel of N*N, Hermitian and positive.  Operators beyond 2^256 go down together to
-    # [2^255, 2^256): N*N stays finite, its top eigenvalue (>= max|N|^2) above 1, the threshold relative
-    e = max(0, int(np.frexp(max(map(max_abs, ops)))[1]) - 256)
-    gram = np.zeros((dim, dim), dtype=complex)
-    for op in ops:
-        op = _ldexp(op, -e)
-        gram += dagger(op) @ op
-    eigsys = eig_hermitian(gram, tol)
-    scale = max(1.0, float(eigsys.values[-1]))
-    cols = [i for i, v in enumerate(eigsys.values) if v <= tol * scale]
-    if not cols:
-        return np.zeros((dim, dim), dtype=complex)
-    block = eigsys.vectors[:, cols]
-    return block @ dagger(block)
+    """Orthogonal projector B B* onto the joint kernel of the constraint(s)."""
+    basis = _kernel_basis(_operators(n), tol)
+    return basis @ dagger(basis)
 
 
 def random_constrained_density(n, seed, rank: int | None = None, tol: float = DEFAULT_TOL) -> DensityOperator:
     """Seeded random state inside the constrained subspace.
 
-    Draws a random state, compresses it into the constraint kernel and
-    renormalizes; draws whose kernel component is negligibly small
-    (trace below 1e-6) are rejected and redrawn.
+    The dim x rank complex Gaussian G that ``states`` draws for a random
+    state is read in the kernel basis B: with Y = B* G the state is
+    B Y Y* B* / Tr, the compression of G G* into the kernel, renormalized.
+    Every draw lies in the kernel.
     """
-    ops = _operators(n)
-    dim = ops[0].shape[0]
-    kernel = kernel_projector(n, tol)
-    if round(float(np.trace(kernel).real)) == 0:
+    basis = _kernel_basis(_operators(n), tol)
+    dim, k = basis.shape
+    if k == 0:
         raise ValidationError("constraint admits no states (kernel is trivial)")
-    rng = _rng(seed)
-    for _ in range(64):
-        z = random_density(dim, rank if rank is not None else dim, rng)
-        compressed = kernel @ z.matrix @ kernel
-        tr = float(np.trace(compressed).real)
-        if tr >= 1e-6:
-            return DensityOperator(compressed / tr)
-    raise ContractError("could not draw a state overlapping the constraint kernel")
+    w = basis @ (dagger(basis) @ _gaussian(dim, dim if rank is None else rank, seed))
+    z = w @ dagger(w)
+    return DensityOperator(z / np.trace(z).real)

@@ -122,12 +122,17 @@ def random_density(dim: int, rank: int, seed) -> DensityOperator:
     ``seed`` goes through ``linalg._rng``.  The generator family is
     pinned to numpy's default (PCG64) so traces reproduce across machines.
     """
+    g = _gaussian(dim, rank, seed)
+    z = g @ dagger(g)
+    return DensityOperator(z / np.trace(z).real)
+
+
+def _gaussian(dim: int, rank: int, seed) -> np.ndarray:
+    """The dim x rank complex Gaussian G of ``random_density``; the rank is checked before the seed is read."""
     if not (1 <= rank <= dim):
         raise BadRank(f"rank must be in [1, {dim}], got {rank}")
     rng = _rng(seed)
-    g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2.0)
-    z = g @ dagger(g)
-    return DensityOperator(z / np.trace(z).real)
+    return (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2.0)
 
 
 def validate(z, tol: float = DEFAULT_TOL) -> DensityOperator:

@@ -13,8 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmeasure import cli, compatibility, constraints
-from qmeasure.states import from_pure
+from qmeasure import cli, compatibility
 from qmeasure.matrixio import parse_matrix, write_matrix
 
 OBS225 = np.diag([2.0, 2.0, 5.0])
@@ -576,22 +575,6 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error: BadArgument: random must be at least 1")
-
-    def test_constraint_random_draws_missing_the_kernel_is_4(self, put, monkeypatch):
-        # every draw is the singlet, orthogonal to the symmetric kernel
-        singlet = from_pure(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
-        monkeypatch.setattr(constraints, "random_density", lambda dim, rank, rng: singlet)
-        code, out, err = invoke(
-            [
-                "constraint",
-                "--exchange", "sym",
-                "--r", put("r.txt", np.diag([2.0, 0.0, 0.0, -2.0])),
-                "--random", "1",
-            ]
-        )
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: ContractError: could not draw a state")
 
     def test_verdict_disagreement_is_4(self, put, monkeypatch):
         # a condition 1 route that fails a commuting pair breaks the

@@ -1,6 +1,7 @@
 """Grammar fuzz of the command line, in process: every input ends in a
 documented exit code with at most one error line, and no NaN or inf is
-ever printed.
+ever printed.  A ``constraint --random`` run never rejects its own
+draws as violating the constraint.
 
 Argv is drawn from the subcommands, the global flags (before or after
 the subcommand) and generated files at d <= 4, whose entries include
@@ -19,6 +20,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from qmeasure import cli
+from qmeasure.linalg import dagger, random_unitary
 from qmeasure.matrixio import format_entry, format_matrix
 
 # Hypothesis tries the first entries of a list most often, so the most hostile come first
@@ -52,6 +54,8 @@ def _spectral(dim, pairs) -> File:
 BIG = _text([[1e308, 1e308], [1e308, -1e308]])
 PAULI_Z = _text(np.diag([1.0, -1.0]))
 HUGE_OFF_DIAGONAL = _text([[0.5, 1e308], [1e308, 0.5]])
+_U = random_unitary(3, 4)
+LARGE_UNIT_N = _text(1e8 * (_U @ np.diag([1.0, 0.0, 2.0]) @ dagger(_U)))
 
 entries = st.builds(complex, st.sampled_from(REALS), st.sampled_from([0.0, *REALS]))
 
@@ -168,6 +172,7 @@ def invocations(draw):
 @example(["constraint", "--n", BIG, "--r", PAULI_Z, "--random", "2"])
 @example(["measure", "--observable", BIG, "--state", _text(np.diag([1e308, 1e308])), "--aggregate"])
 @example(["demo", "--tol", "1e-300"])
+@example(["constraint", "--n", LARGE_UNIT_N, "--r", LARGE_UNIT_N, "--random", "3"])
 def test_every_argv_ends_in_a_documented_exit(argv):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -189,3 +194,6 @@ def test_every_argv_ends_in_a_documented_exit(argv):
     else:
         assert ERROR_LINE.fullmatch(err), err
     assert not NON_FINITE.search(out.lower()), out
+    # states drawn from the constraint's own kernel always satisfy it
+    if "--random" in argv:
+        assert "ConstraintViolatedOnInput" not in err, err

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from qmeasure import constraints
 from qmeasure.constraints import (
     Constraint,
     ConstraintSet,
@@ -19,7 +18,6 @@ from qmeasure.constraints import (
 from qmeasure.errors import (
     BadDim,
     ConstraintViolatedOnInput,
-    ContractError,
     DimMismatch,
     ValidationError,
 )
@@ -214,13 +212,6 @@ class TestRandomConstrained:
     def test_trivial_kernel_rejected(self):
         with pytest.raises(ValidationError):
             random_constrained_density(Constraint(np.eye(4)), 0)
-
-    def test_draws_missing_the_kernel_raise_contract_error(self, monkeypatch):
-        # every draw is the singlet, orthogonal to the symmetric kernel
-        monkeypatch.setattr(constraints, "random_density", lambda dim, rank, rng: SINGLET)
-        with pytest.raises(ContractError) as caught:
-            random_constrained_density(N_SYM, 0)
-        assert caught.type is ContractError
 
     def test_antisymmetric_kernel_is_one_dimensional(self):
         # only the singlet survives, so every draw is that pure state
