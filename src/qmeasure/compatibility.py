@@ -2,28 +2,31 @@
 
 Each of the two operational conditions is checked on per-outcome
 Kraus operators, A_k for the R-measurement and B_j for the S-measurement,
-with an exact route (an operator identity) and a sampled route (traces
-over seeded random pure states).  The operators come as basis blocks,
-A_k = T_k V_k* with V_k R's eigenbasis block and T_k its target block,
-and B_j = U_j W_j* alike.  The projector checks are the instance
-T_k = V_k (A_k = P_k, B_j = Pt_j); the theta checks pass the target
-blocks of Theta_k and Phi_j.
+with an exact route (the norm of an operator identity's defect) and a
+sampled route (traces over seeded random pure states).  The operators
+come as basis blocks, A_k = T_k V_k* with V_k R's eigenbasis block and
+T_k its target block, and B_j = U_j W_j* alike.  The projector checks
+are the instance T_k = V_k (A_k = P_k, B_j = Pt_j); the theta checks
+pass the target blocks of Theta_k and Phi_j.
 
 Condition 1: after selecting outcome r_k of R, an interposed S-selection
 never destroys the certainty that an immediate second R-measurement
-repeats r_k.  Exactly, this is the operator identity
-A_k* B_j* P_l B_j A_k = 0 for every j and every l != k; statistically it
-is Tr(P_l B_j A_k Z A_k* B_j*) = 0 over random states Z.
+repeats r_k.  Exactly: A_k* B_j* P_l B_j A_k = 0 for every j and l != k,
+read as the trace of that positive operator; statistically:
+Tr(P_l B_j A_k Z A_k* B_j*) = 0 over random states Z.
 
 Condition 2: a non-selective R-measurement leaves every S outcome
-probability unchanged.  Exactly: sum_k A_k* Pt_j A_k = Pt_j for every j;
-statistically: Tr(Pt_j Z') = Tr(Pt_j Z) over random Z, where
-Z' = sum_k A_k Z A_k* is the aggregate R-update of Z.
+probability unchanged.  Exactly: sum_k A_k* Pt_j A_k = Pt_j for every j,
+read as the Frobenius norm of the difference; statistically:
+Tr(Pt_j Z') = Tr(Pt_j Z) over random Z, where Z' = sum_k A_k Z A_k* is
+the aggregate R-update of Z.
 
 The sampled route draws Haar-random pure states Z = z z*.  Every sampled
-residual is linear in the state, Tr(M Z), and a linear function takes
-its largest magnitude over the convex set of states at an extreme point,
-a pure state; mixed states would add cost and no detection power.
+residual is linear in the state, Tr(M Z), so its largest magnitude over
+all states is reached at a pure state.  It is at most ||M||_op, so at
+most Tr M for a positive M and ||M||_F for any: sampled <= exact, up to
+rounding.  Both exact residuals are unitarily invariant, so they do not
+depend on the basis the operators are written in.
 
 Both projector conditions hold iff the two operators commute, so
 ``compat_report`` runs both routes, checks them against the commutator,
@@ -34,21 +37,14 @@ commutator is read at a power-of-two scale, so it stays finite for any
 finite operators.
 
 Cost.  One kernel, ``_conditions``, runs both conditions on every
-requested route, and no dense Kraus product is formed.  It works in R's
-eigenbasis V, where one overlap N_j = (V* U_j)(W_j* T) per S outcome
-holds every (k, l) block of condition 1, and condition 2 becomes a block
-mask; blocks and batches follow ``Observable.groups``.  The products that do not depend on the probe vectors (V*, V* U,
-W* T, every N_j and |N_j|^2) are formed once per call, so a report that
-runs both routes pays for one overlap pass, O(K_S d^3) at most.  Each
-route then reads them with its own probe products: y = V* z over the
-standard basis (exact) or over a seeded batch of pure states (sampled),
-and W* z and X y_k alike.  The probe products of two routes are kept
-apart rather than joined into one, because a joined product can round
-differently and move a residual by an ulp.  Exact condition 2 adds
-O(K_S d^3) for its block-masked sums; the sampled traces read
-||X_lk y_k||^2 and sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2, which costs
-O(samples d^2) for condition 2 and O(samples K_S d m_k) for condition 1
-per outcome of R of multiplicity m_k > 1.
+requested route in R's eigenbasis V, and no dense Kraus product is
+formed.  V*, W* T, V* U and one overlap N_j = (V* U_j)(W_j* T) per S
+outcome, with |N_j|^2, are formed once, O(K_S d^3) at most; blocks and
+batches follow ``Observable.groups``.  Exact condition 1 is a block sum
+of |N_j|^2 and exact condition 2 a block mask, O(d^3) over all j.  The
+sampled traces cost O(samples d^2) for condition 2 and
+O(samples K_S d m_k) for condition 1 per outcome of R of multiplicity
+m_k > 1.
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,
 above 10*tol a clean failure, and anything between is reported as
@@ -211,21 +207,21 @@ def _conditions(r, r_targets, s, s_targets, probe_sets, tol, conditions=(1, 2)) 
     V_k, T_k are ``r.basis[k]``, ``r_targets[k]`` and W_j, U_j are
     ``s.basis[j]``, ``s_targets[j]``; the readout projectors are
     P_l = V_l V_l* and Pt_j = W_j W_j*.  A probe set is None for the
-    exact route (the standard basis vectors) or a batch ``zs`` of pure
-    states, one per row, for the sampled route.  Returns
+    exact route (the norms of the identities' defects) or a batch ``zs``
+    of pure states, one per row, for the sampled route.  Returns
     ``{c: [ConditionResult per probe set]}`` for each c in ``conditions``.
 
-    The probe-independent products are formed once: V*, W* T, and for
+    The products every route reads are formed once: V*, W* T, and for
     condition 1 V* U, the overlaps N_j = (V* U_j)(W_j* T) and |N_j|^2.
-    Each probe set then reads its residuals with its own probe products
-    (y = V* z, W* z, X y_k), never joined with another set's, so a route
-    gives the same bits whichever routes run beside it.
+    Each state batch is read with its own products (y = V* z, W* z,
+    X y_k), never joined with another, so a route gives the same bits
+    whichever routes run beside it.
     """
     v = r.full_basis()
     vh, wh = dagger(v), dagger(s.full_basis())
     wt = wh @ np.hstack(r_targets)
-    # the probe vectors y = V* z of each set as columns (d, probes)
-    ys = [vh if zs is None else vh @ zs.T for zs in probe_sets]
+    # the states y = V* z of each sampled set as columns (d, samples)
+    ys = [None if zs is None else vh @ zs.T for zs in probe_sets]
     out = {}
     if 1 in conditions:
         out[1] = _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol)
@@ -237,33 +233,26 @@ def _conditions(r, r_targets, s, s_targets, probe_sets, tol, conditions=(1, 2)) 
 def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     """Condition 1 per probe set, from the overlaps N_j formed once.
 
-    Exact mode takes the worst |A_k* B_j* P_l B_j A_k| over l != k;
-    sampled mode the worst Tr(P_l B_j A_k Z A_k* B_j*) over the pure
-    states Z = z z*.  Triples run j, then k, then l, and a later tie
-    takes over the witness.
-
-    The (l, k) block X of N_j = (V* U_j)(W_j* T) is V_l* B_j T_k.  Both
-    modes read ||X y_k||^2 for probe vectors y = V* z, where y_k is the
-    k block of y: the sampled trace is exactly that, and the exact
-    operator V_k X* X V_k* is positive semidefinite, so its max-abs
-    entry is its largest diagonal entry, the same norm over the standard
-    basis vectors z = e_a.  For a rank-1 outcome k the norm is
-    |X|^2 |y_k|^2, so the max over probes is taken before the product;
-    R outcomes of one multiplicity m > 1 form N_j[:, cols_k] @ y_k for
-    every probe, at O(d m) a probe.  S outcomes of one multiplicity and
-    R outcomes of one multiplicity are batched.
+    The (l, k) block X of N_j = (V* U_j)(W_j* T) is V_l* B_j T_k, so
+    A_k* B_j* P_l B_j A_k = V_k X* X V_k*.  Exact mode takes the worst
+    trace ||X||_F^2 over l != k, a block sum of |N_j|^2; sampled mode
+    the worst Tr(P_l B_j A_k Z A_k* B_j*) = ||X y_k||^2, y_k the k block
+    of y = V* z.  For a rank-1 outcome k that is |X|^2 |y_k|^2, so the
+    max over states comes before the product; outcomes of multiplicity
+    m > 1 form N_j[:, cols_k] @ y_k, O(d m) a state.  Outcomes of one
+    multiplicity are batched.  Triples run j, then k, then l, and a
+    later tie takes over the witness.
     """
     d, kr = len(vh), r.outcome_count
     if kr < 2:
         return [_result(0.0, None, zs, tol) for zs in probe_sets]
     vu = vh @ np.hstack(s_targets)
-    peaks = []
-    for y in ys:
-        weights = np.abs(y) ** 2
-        peaks.append((weights.max(axis=1), weights.argmax(axis=1)))
-    # entries one S outcome's products hold: N_j, and X y_k per probe of
-    # the largest probe set for m > 1
-    probes = max(y.shape[1] for y in ys)
+    exact = [i for i, y in enumerate(ys) if y is None]
+    weights = [(i, y, np.abs(y) ** 2) for i, y in enumerate(ys) if y is not None]
+    sampled = [(i, y, w.max(axis=1), w.argmax(axis=1)) for i, y, w in weights]
+    # entries one S outcome's products hold: N_j, and X y_k per state of
+    # the largest batch for m > 1
+    probes = max((y.shape[1] for _, y, _ in weights), default=0)
     per_j = d * d + sum(len(ks) * d * probes for m, ks, _ in r.groups if m > 1)
     res = np.empty((len(ys), s.outcome_count, kr, kr))
     state = np.zeros(res.shape, dtype=int)
@@ -275,17 +264,22 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
             rows = np.abs(n) ** 2
             if kr < d:
                 rows = np.add.reduceat(rows, r.offsets, axis=1)
-            for m, ks, cols in r.groups:
+            if exact:
+                # and over the columns of each k block: ||X_lk||_F^2 at [j, l, k]
+                traces = np.add.reduceat(rows, r.offsets, axis=2) if kr < d else rows
+                for i in exact:
+                    res[i][js[part]] = np.swapaxes(traces, 1, 2)
+            for m, ks, cols in r.groups if sampled else ():
                 at = np.ix_(js[part], ks)
                 if m == 1:
                     c = cols[:, 0]
                     overlap = rows[:, :, c]
-                    for i, (peak, best) in enumerate(peaks):
+                    for i, _, peak, best in sampled:
                         res[i][at] = np.swapaxes(overlap * peak[c], 1, 2)
                         state[i][at] = best[c, None]
                     continue
                 x = np.moveaxis(n[:, :, cols], 2, 1)
-                for i, y in enumerate(ys):
+                for i, y, _, _ in sampled:
                     norms = np.add.reduceat(np.abs(x @ y[cols]) ** 2, r.offsets, axis=2)
                     res[i][at], state[i][at] = norms.max(axis=3), norms.argmax(axis=3)
     res[:, :, np.arange(kr), np.arange(kr)] = -1.0
@@ -300,22 +294,24 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
 def _read_condition2(v, wh, wt, r, s, probe_sets, ys, tol) -> list:
     """Condition 2 per probe set, from the overlap W* T formed once.
 
-    Exact mode takes the worst |sum_k A_k* Pt_j A_k - Pt_j| over j,
-    where the sum is V blockmask(T* Pt_j T) V*; sampled mode the worst
-    |Tr(Pt_j (Z' - Z))| over the pure states Z = z z*, where
-    Z' = sum_k A_k Z A_k*.  With y = V* z that trace is
-    sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2, O(samples d^2) past the
-    overlap W* T; for rank-1 outcomes k the sum is one product
+    In R's frame the defect M_j = sum_k A_k* Pt_j A_k - Pt_j is
+    V* M_j V = blockmask(c_j* c_j) - C_j C_j*, with c_j and C_j* the
+    j rows of W* T and of W* V.  Exact mode takes the worst ||M_j||_F
+    over j, which the frame leaves unchanged; sampled mode the worst
+    |Tr(M_j Z)| over the pure states Z = z z*.  With y = V* z that
+    trace is sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2, O(samples d^2)
+    past the overlap W* T; for rank-1 outcomes k the sum is one product
     |W* T|^2 @ |y|^2.
     """
     out = []
     for zs, y in zip(probe_sets, ys):
         if zs is None:
             mask = r.labels[:, None] == r.labels
+            wv = wh @ v
             res = []
             for lo, w in zip(s.offsets, s.basis):
-                c = wt[lo : lo + w.shape[1]]
-                res.append(max_abs(v @ ((dagger(c) @ c) * mask) @ dagger(v) - w @ dagger(w)))
+                c, cv = wt[lo : lo + w.shape[1]], wv[lo : lo + w.shape[1]]
+                res.append(np.linalg.norm((dagger(c) @ c) * mask - dagger(cv) @ cv))
             res, state = np.array(res), None
         else:
             # per row of W* and per state: sum_k |W* T_k y_k|^2 - |W* z|^2
@@ -350,9 +346,10 @@ def condition1_holds(
 ) -> ConditionResult:
     """Does an interposed S-selection preserve certainty of repeating any R outcome?
 
-    Exact mode evaluates the operator identity P_k Pt_j P_l Pt_j P_k = 0
-    (l != k); sampled mode measures Tr(Z_kj'' P_l) on seeded random pure
-    states.  The worst residual and where it occurred are returned.
+    Exact mode reads the identity P_k Pt_j P_l Pt_j P_k = 0 (l != k) as
+    the trace of its left side; sampled mode measures Tr(Z_kj'' P_l) on
+    seeded random pure states.  The worst residual and where it occurred
+    are returned.
     """
     _check_same_dim(r, s)
     return _route(1, r, r.basis, s, s.basis, mode, samples, seed, tol)
@@ -368,8 +365,9 @@ def condition2_holds(
 ) -> ConditionResult:
     """Does a non-selective R-measurement leave every S outcome probability alone?
 
-    Exact mode evaluates sum_k P_k Pt_j P_k = Pt_j; sampled mode compares
-    Tr(Pt_j Z') against Tr(Pt_j Z) on seeded random pure states.
+    Exact mode reads sum_k P_k Pt_j P_k = Pt_j as the Frobenius norm of
+    the difference; sampled mode compares Tr(Pt_j Z') against Tr(Pt_j Z)
+    on seeded random pure states.
     """
     _check_same_dim(r, s)
     return _route(2, r, r.basis, s, s.basis, mode, samples, seed, tol)
@@ -521,8 +519,8 @@ def theta_condition1(
     """Condition 1 with both measurements replaced by eigenvalue-repeatable channels.
 
     The second R outcome is still read through the projectors P_l, but the
-    state passed through Phi_j Theta_k instead of Pt_j P_k.  The identity
-    route checks Theta_k* Phi_j* P_l Phi_j Theta_k = 0 for l != k.
+    state passed through Phi_j Theta_k instead of Pt_j P_k.  The exact
+    route reads the trace of Theta_k* Phi_j* P_l Phi_j Theta_k, l != k.
     """
     _check_same_dim(fam_r, fam_s)
     return _route(
@@ -541,7 +539,7 @@ def theta_condition2(
 ) -> ConditionResult:
     """Condition 2 with the non-selective measurement run through Theta channels.
 
-    The identity route checks sum_k Theta_k* Pt_j Theta_k = Pt_j for
+    The exact route reads ||sum_k Theta_k* Pt_j Theta_k - Pt_j||_F for
     every S projector Pt_j.
     """
     _check_same_dim(fam_r, fam_s)

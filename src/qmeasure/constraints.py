@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadDim, ConstraintViolatedOnInput, DimMismatch, ValidationError
-from .linalg import DEFAULT_TOL, _ldexp, _pow2_scaled, _relative_commutator, as_matrix, dagger, eig_hermitian, freeze, max_abs
+from .linalg import DEFAULT_TOL, _pow2_scaled, _relative_commutator, as_matrix, dagger, freeze, max_abs
 from .channels import lueders_select
 from .observables import Observable, reconstruct
 from .states import DensityOperator, _gaussian, state_matrix
@@ -135,17 +135,14 @@ def _violation(ops, m: np.ndarray, tol: float) -> SatisfactionResult:
 
 
 def _kernel_basis(ops, tol: float) -> np.ndarray:
-    """Orthonormal columns B (d x k, k may be 0) spanning the joint kernel of the members."""
-    dim = ops[0][0].shape[0]
-    # kernel of N is kernel of N*N, Hermitian and positive.  Operators beyond 2^256 go down together to
-    # [2^255, 2^256): N*N stays finite, its top eigenvalue (>= max|N|^2) above 1, the threshold relative
-    e = max(0, int(np.frexp(max(scale for _, scale in ops))[1]) - 256)
-    gram = np.zeros((dim, dim), dtype=complex)
-    for op, _ in ops:
-        op = _ldexp(op, -e)
-        gram += dagger(op) @ op
-    eigsys = eig_hermitian(gram, tol)
-    return eigsys.vectors[:, eigsys.values <= tol * max(1.0, float(eigsys.values[-1]))]
+    """Orthonormal columns B (d x k, k may be 0) spanning the joint kernel of the members.
+
+    B holds the right singular vectors of the members stacked as
+    N / max(1, max|N|) whose singular value is at most tol, the bound
+    ``_violation`` applies: every state B Y B* has max|N Z| <= tol max(1, max|N|).
+    """
+    _, sigma, vh = np.linalg.svd(np.vstack([op / scale for op, scale in ops]), full_matrices=False)
+    return dagger(vh[sigma <= tol])
 
 
 def satisfies(z, n, tol: float = DEFAULT_TOL) -> SatisfactionResult:

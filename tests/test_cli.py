@@ -240,7 +240,9 @@ class TestCompat:
         assert code == 0
         pairs = dict(line.split("=", 1) for line in out.splitlines()[:-1])
         assert pairs["c1"] == "false"
-        assert float(pairs["c1_residual"]) > 0.2
+        # Tr(P_k Pt_j P_l Pt_j P_k) = 1/4, and ||sum_k P_k Pt_j P_k - Pt_j||_F = sqrt(2)/2
+        assert float(pairs["c1_residual"]) == pytest.approx(0.25, abs=1e-15)
+        assert float(pairs["c2_residual"]) == pytest.approx(np.sqrt(0.5), abs=1e-15)
         assert float(pairs["comm_residual"]) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["both", "exact", "sampled"])

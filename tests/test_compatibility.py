@@ -415,7 +415,7 @@ class TestThetaConditions:
         fam_z = make_theta_family(Z_OBS, Z_OBS.basis)
         res = theta_condition2(kick, fam_z)
         assert not res.holds
-        assert res.residual == pytest.approx(0.5)
+        assert res.residual == pytest.approx(1.0)
 
     def test_sector_family_is_eigenvalue_repeatable(self):
         r, s = curated_pairs(6, 1, commuting=True, seed=3)[0]

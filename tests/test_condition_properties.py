@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmeasure.channels import (
+    ThetaFamily,
     lueders_aggregate,
     make_theta_family,
     rotated_theta_family,
@@ -23,13 +24,14 @@ from qmeasure.compatibility import (
     _random_state_batch,
     condition1_holds,
     condition2_holds,
+    heisenberg_observable,
     sector_rotated_family,
     sequential_select,
     theta_condition1,
     theta_condition2,
     verdict_from_residual,
 )
-from qmeasure.linalg import DEFAULT_TOL, dagger, max_abs, random_unitary
+from qmeasure.linalg import DEFAULT_TOL, dagger, random_unitary
 from qmeasure.observables import spectral_decompose
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -46,12 +48,12 @@ def _spectrum(kind, dim, rng):
 
 
 @st.composite
-def pairs(draw, kind_r=None):
-    """(R, S, theta family of R, theta family of S) from drawn sizes.
+def pairs(draw, kind_r=None, max_dim=16):
+    """(R, S, theta family of R, theta family of S) from drawn sizes up to ``max_dim``.
 
     ``kind_r`` pins R's spectrum kind; by default it is drawn like S's.
     """
-    dim = draw(st.integers(2, 16))
+    dim = draw(st.integers(2, max_dim))
     kinds = st.sampled_from(["simple", "degenerate", "mixed"])
     kind_r, kind_s = kind_r or draw(kinds), draw(kinds)
     commuting = draw(st.booleans())
@@ -68,7 +70,7 @@ def pairs(draw, kind_r=None):
 
 
 def _dense_condition1(r_ops, s_ops, readout, zs):
-    """Worst |A_k* B_j* P_l B_j A_k| (exact) or |Tr(P_l B_j A_k Z A_k* B_j*)|."""
+    """Worst Tr(A_k* B_j* P_l B_j A_k) (exact) or |Tr(P_l B_j A_k Z A_k* B_j*)|."""
     worst = 0.0
     for b in s_ops:
         for k, a in enumerate(r_ops):
@@ -80,7 +82,7 @@ def _dense_condition1(r_ops, s_ops, readout, zs):
                 if l == k:
                     continue
                 if zs is None:
-                    res = max_abs(chain_h @ pl @ chain)
+                    res = np.trace(chain_h @ pl @ chain).real
                 else:
                     res = float(np.max(np.abs(np.einsum("sij,ji->s", after, pl))))
                 worst = max(worst, res)
@@ -88,13 +90,13 @@ def _dense_condition1(r_ops, s_ops, readout, zs):
 
 
 def _dense_condition2(r_ops, s_projs, zs):
-    """Worst |sum_k A_k* Pt_j A_k - Pt_j| (exact) or |Tr(Pt_j (Z' - Z))|."""
+    """Worst ||sum_k A_k* Pt_j A_k - Pt_j||_F (exact) or |Tr(Pt_j (Z' - Z))|."""
     if zs is not None:
         diff = sum(a @ zs @ dagger(a) for a in r_ops) - zs
     worst = 0.0
     for ptj in s_projs:
         if zs is None:
-            res = max_abs(sum(dagger(a) @ ptj @ a for a in r_ops) - ptj)
+            res = np.linalg.norm(sum(dagger(a) @ ptj @ a for a in r_ops) - ptj)
         else:
             res = float(np.max(np.abs(np.real(np.einsum("sij,ji->s", diff, ptj)))))
         worst = max(worst, res)
@@ -147,10 +149,10 @@ def test_exact_witness_reproduces_residual(pair):
         assert w.state is None
         if s_ops is None:
             ptj = s.projectors[w.j]
-            at = max_abs(sum(dagger(a) @ ptj @ a for a in r_ops) - ptj)
+            at = np.linalg.norm(sum(dagger(a) @ ptj @ a for a in r_ops) - ptj)
         else:
             chain = s_ops[w.j] @ r_ops[w.k]
-            at = max_abs(dagger(chain) @ r.projectors[w.l] @ chain)
+            at = np.trace(dagger(chain) @ r.projectors[w.l] @ chain).real
             assert w.l != w.k
         assert abs(at - res.residual) <= 1e-12, name
 
@@ -212,3 +214,31 @@ def test_tie_goes_to_the_last_triple(mode):
         assert res.residual == 0.0, name
         want = (None, 1, None) if s_ops is None else (1, 1, 0)
         assert (res.witness.k, res.witness.j, res.witness.l) == want, name
+
+
+def _moved(fam, obs, u):
+    """The theta family ``fam`` in the frame of ``obs`` = U* R U: every target block T_k becomes U* T_k."""
+    return ThetaFamily(observable=obs, targets=tuple(dagger(u) @ t for t in fam.targets))
+
+
+@PROPERTY
+@given(pair=pairs(max_dim=8), seed=st.integers(0, 2**32 - 1))
+def test_exact_residuals_do_not_depend_on_the_frame(pair, seed):
+    # a trace and a Frobenius norm are unitarily invariant; the residuals are
+    # norms of defects of operators of norm at most 1, so near 0 the bound is absolute
+    r, s, fam_r, fam_s = pair
+    u = random_unitary(r.dim, seed)
+    r_u, s_u = heisenberg_observable(r, u), heisenberg_observable(s, u)
+    moved = _checks(r_u, s_u, _moved(fam_r, r_u, u), _moved(fam_s, s_u, u))
+    for (name, check, _, _), (_, check_u, _, _) in zip(_checks(r, s, fam_r, fam_s), moved):
+        a, b = check("exact").residual, check_u("exact").residual
+        assert abs(a - b) <= 1e-12 * max(1.0, a, b), (name, a, b)
+
+
+@PROPERTY
+@given(pair=pairs(max_dim=8))
+def test_sampled_residual_is_at_most_the_exact_one(pair):
+    # |Tr(M Z)| <= ||M||_op, at most Tr M for a positive M and ||M||_F for any
+    for name, check, _, _ in _checks(*pair):
+        sampled, exact = check("sampled").residual, check("exact").residual
+        assert sampled <= exact + 1e-12, (name, sampled, exact)

@@ -120,3 +120,21 @@ def test_cli_random_states_of_a_large_unit_constraint_keep_every_branch(scale, t
     assert (code, err.getvalue()) == (0, "")
     preserved = [line for line in out.getvalue().splitlines() if ".preserved=" in line]
     assert len(preserved) == 3 and all(line.endswith("=true") for line in preserved)
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 1e-8, 1e-12])
+def test_cli_random_never_rejects_its_own_draw(sigma, tmp_path):
+    # N = diag(1, sigma): the kernel keeps the singular values of N / max(1, max|N|)
+    # up to tol, the bound the N Z rule applies, so sigma = 1e-5 and 1e-8 leave no
+    # kernel at all, and sigma = 1e-12 leaves one whose draws keep every branch
+    (tmp_path / "n.txt").write_text(format_matrix(np.diag([1.0, sigma])))
+    (tmp_path / "r.txt").write_text(format_matrix(np.diag([1.0, -1.0])))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["constraint", "--n", str(tmp_path / "n.txt"), "--r", str(tmp_path / "r.txt"), "--random", "3"]
+    code = cli.run([*argv, "--format", "machine"], out=out, err=err)
+    if sigma > DEFAULT_TOL:
+        assert (code, err.getvalue()) == (3, "error: ValidationError: constraint admits no states (kernel is trivial)\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
+    preserved = [line for line in out.getvalue().splitlines() if ".preserved=" in line]
+    assert len(preserved) == 2 and all(line.endswith("=true") for line in preserved)

@@ -21,7 +21,7 @@ from qmeasure.errors import (
     DimMismatch,
     ValidationError,
 )
-from qmeasure.linalg import commutes, dagger, eig_hermitian, max_abs
+from qmeasure.linalg import commutes, dagger, max_abs
 from qmeasure.observables import spectral_decompose
 from qmeasure.states import from_pure, random_density, validate
 
@@ -184,16 +184,16 @@ class TestKernel:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-3, 2.0**300, 2.0**700])
     def test_threshold_is_the_unscaled_one(self, scale):
-        # N*N has eigenvalues 1 and 3.6e-9 against tol * max(1, 1) = 1e-9: no kernel.
-        # Scaled down by a power of two, 3.6e-9 * 2^-6 would fall below 1e-9; operators
-        # below 2^256 keep their scale, those above it keep a relative threshold.
+        # N / max(1, max|N|) has singular values down to 6e-5 * min(1, scale) >= 7.5e-6,
+        # far above tol = 1e-9 at every scale: no kernel.  A Gram matrix N*N would
+        # square 7.5e-6 to 5.6e-11, below tol, and find a kernel at scale 2^-3.
         n = np.diag([1.0, 6e-5]) * scale
-        assert max_abs(kernel_projector(Constraint(n))) == (1.0 if scale < 1.0 else 0.0)
+        assert max_abs(kernel_projector(Constraint(n))) == 0.0
 
     def test_exchange_kernel_keeps_its_bits(self):
-        # max|N| = 0.5 is below 2^256, so the operator is not scaled
-        eigsys = eig_hermitian(dagger(N_SYM.operator) @ N_SYM.operator)
-        block = eigsys.vectors[:, eigsys.values <= 1e-9]
+        # max|N| = 0.5 is below 1, so the operator is divided by 1.0 and keeps its bits
+        _, sigma, vh = np.linalg.svd(N_SYM.operator, full_matrices=False)
+        block = dagger(vh[sigma <= 1e-9])
         assert kernel_projector(N_SYM).tobytes() == (block @ dagger(block)).tobytes()
 
 
