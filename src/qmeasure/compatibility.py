@@ -33,8 +33,9 @@ Both projector conditions hold iff the two operators commute, so
 and raises VerdictDisagreement on a decisive disagreement (it would mean
 an implementation bug, not physics).  A condition residual that is not
 finite raises ContractError: no verdict can be read from it.  The
-commutator is read at a power-of-two scale, so it stays finite for any
-finite operators.
+commutator, ||[R, S]||_op / (max|r| max|s|), is read in R's eigenframe V
+as (r_a - r_b) x_ab, x = (V* W) diag(s) (V* W)*, with both spectra over
+their largest magnitude: no entry overflows, and no frame or unit moves it.
 
 Cost.  One kernel, ``_conditions``, runs both conditions on every
 requested route in R's eigenbasis V, and no dense Kraus product is
@@ -44,7 +45,8 @@ batches follow ``Observable.groups``.  Exact condition 1 is a block sum
 of |N_j|^2 and exact condition 2 a block mask, O(d^3) over all j.  The
 sampled traces cost O(samples d^2) for condition 2 and
 O(samples K_S d m_k) for condition 1 per outcome of R of multiplicity
-m_k > 1.
+m_k > 1.  The commutator costs three d x d products (V* W, x and C* C)
+and one Hermitian eigenvalue solve, O(d^3).
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,
 above 10*tol a clean failure, and anything between is reported as
@@ -71,7 +73,6 @@ from .linalg import (
     _cluster_ranges,
     _eig_hermitian_stack,
     _haar_blocks,
-    _relative_commutator,
     _rng,
     as_matrix,
     commutes,
@@ -82,7 +83,7 @@ from .linalg import (
     require_hermitian,
 )
 from .channels import ThetaFamily, lueders_select
-from .observables import Observable, SpectralPair, reconstruct, spectral_decompose
+from .observables import Observable, SpectralPair, _commutator_norm, _unit_spectrum, spectral_decompose
 from .states import DensityOperator, SubensembleState
 
 __all__ = [
@@ -188,8 +189,8 @@ def _result(worst: float, at, zs, tol: float) -> ConditionResult:
     return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
 
 
-def _last_max(res: np.ndarray, name: str) -> tuple:
-    """Index of the last maximal entry in C order: the scan order, where a later tie wins.
+def _first_max(res: np.ndarray, name: str) -> tuple:
+    """Index of the first entry in C order (the scan order) within a relative 1e-12 of the maximum.
 
     The residuals are read from orthonormal blocks, so a non-finite one
     comes from a non-finite entry in a block, and no verdict can be read
@@ -197,7 +198,8 @@ def _last_max(res: np.ndarray, name: str) -> tuple:
     """
     if not np.isfinite(res).all():
         raise ContractError(f"{name} residual is not finite; a basis or target block has a non-finite entry")
-    flat = np.flatnonzero(res == res.max())[-1]
+    top = res.max()
+    flat = np.argmax(res >= top - 1e-12 * abs(top))
     return tuple(int(i) for i in np.unravel_index(flat, res.shape))
 
 
@@ -240,8 +242,9 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     of y = V* z.  For a rank-1 outcome k that is |X|^2 |y_k|^2, so the
     max over states comes before the product; outcomes of multiplicity
     m > 1 form N_j[:, cols_k] @ y_k, O(d m) a state.  Outcomes of one
-    multiplicity are batched.  Triples run j, then k, then l, and a
-    later tie takes over the witness.
+    multiplicity are batched.  The witness is the first triple in scan
+    order (j, then k, then l) whose residual is within a relative 1e-12
+    of the worst, so rounding alone does not move it; condition 2 scans j.
     """
     d, kr = len(vh), r.outcome_count
     if kr < 2:
@@ -285,7 +288,7 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     res[:, :, np.arange(kr), np.arange(kr)] = -1.0
     out = []
     for zs, worst, where in zip(probe_sets, res, state):
-        j, k, l = _last_max(worst, "condition 1")
+        j, k, l = _first_max(worst, "condition 1")
         i = None if zs is None else int(where[j, k, l])
         out.append(_result(float(worst[j, k, l]), (i, k, j, l), zs, tol))
     return out
@@ -324,7 +327,7 @@ def _read_condition2(v, wh, wt, r, s, probe_sets, ys, tol) -> list:
                     shift += np.sum(np.abs(np.moveaxis(wt[:, cols], 1, 0) @ y[cols]) ** 2, axis=0)
             traces = np.abs(np.add.reduceat(shift, s.offsets, axis=0))
             res, state = traces.max(axis=1), traces.argmax(axis=1)
-        (j,) = _last_max(res, "condition 2")
+        (j,) = _first_max(res, "condition 2")
         i = None if zs is None else int(state[j])
         out.append(_result(float(res[j]), (i, None, j, None), zs, tol))
     return out
@@ -416,9 +419,10 @@ def heisenberg_observable(r: Observable, u, tol: float = DEFAULT_TOL) -> Observa
 class CompatReport:
     """Joint verdict of both conditions and the commutator, with residuals.
 
-    ``commutator_residual`` is relative to scale,
-    max|[R, S]| / (max|R| max|S|), so it does not change when R or S is
-    rescaled; the two condition residuals are scale-free already.
+    ``commutator_residual`` is ||[R, S]||_op / (max|r| max|s|), r and s
+    the eigenvalues, so it does not change when R or S is rescaled or
+    when both are written in another frame; the two condition residuals
+    are scale-free already, and the exact ones frame-free.
     """
 
     verdict_condition1: bool
@@ -480,8 +484,9 @@ def compat_report(
     _cross_check("condition 2", runs[2], cfg.tol)
     c1 = max(runs[1], key=lambda res: res.residual)
     c2 = max(runs[2], key=lambda res: res.residual)
-    # read at a power-of-two scale, so operators near the largest double give a finite residual
-    comm = _relative_commutator(reconstruct(r), reconstruct(s))
+    # S / max|s| in R's eigenframe, (V* W) diag(s / max|s|) (V* W)*, from one product V* W
+    vw = dagger(r.full_basis()) @ s.full_basis()
+    comm = _commutator_norm(r, (vw * _unit_spectrum(s)) @ dagger(vw))
 
     labeled = {
         "condition1": verdict_from_residual(c1.residual, cfg.tol),
@@ -568,13 +573,14 @@ def sector_rotated_family(
     """
     _check_same_dim(obs, partner)
     rng = _rng(seed)
-    partner_matrix = reconstruct(partner)
-    # the partner's sectors inside each eigenspace: B* S B of every block
-    # of one multiplicity as one stack, one stacked eigendecomposition
+    # the partner's sectors inside each eigenspace: B_k* S B_k = (B_k* W) diag(s) (B_k* W)*
+    # of every block of one multiplicity as one stack, one stacked eigendecomposition
+    vw = dagger(obs.full_basis()) @ partner.full_basis()
+    s_values = np.take(partner.eigenvalues, partner.labels)
     sectors = [None] * obs.outcome_count
-    for _, ks, _ in obs.groups:
-        blocks = np.stack([obs.basis[k] for k in ks])
-        inside = blocks.conj().swapaxes(1, 2) @ partner_matrix @ blocks
+    for _, ks, cols in obs.groups:
+        bw = vw[cols]
+        inside = (bw * s_values) @ bw.conj().swapaxes(1, 2)
         values, vectors = _eig_hermitian_stack(inside, tol)
         for k, vals, vecs in zip(ks, values, vectors):
             sectors[k] = [vecs[:, a:b] for a, b in _cluster_ranges(vals, cluster_tol)]

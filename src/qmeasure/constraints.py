@@ -16,9 +16,9 @@ Each function reads its constraint once, every member as a pair
 max|N Z| <= tol max(1, max|N|): absolute for max|N| <= 1, relative to
 scale above it.  Random constrained states are drawn inside the kernel, so
 every draw satisfies the constraint.  ``measurable_under`` keeps two
-routes, the block leak of V* N V and the full commutator, and requires
-both: on near-commuting pairs the leak alone admits some the commutator
-rejects.
+routes, the block leak of V* N V and the full commutator read from the
+same V* N V, and requires both: on near-commuting pairs the leak alone
+admits some the commutator rejects.
 """
 
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import BadDim, ConstraintViolatedOnInput, DimMismatch, ValidationError
 from .linalg import DEFAULT_TOL, _pow2_scaled, _relative_commutator, as_matrix, dagger, freeze, max_abs
 from .channels import lueders_select
-from .observables import Observable, reconstruct
+from .observables import Observable, _commutator_norm
 from .states import DensityOperator, _gaussian, state_matrix
 
 __all__ = [
@@ -155,21 +155,21 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     """May r be measured on the constrained system?
 
     True iff every projector of r commutes with every constraint N, that
-    is iff V* N V is block diagonal in r's eigenbasis V, within tol max|N|.
-    The full commutator, max|[R, N]| / (max|R| max|N|), is checked as
-    well, and the conjunction of the two routes is returned; neither
-    depends on the units of r or of N.
+    is iff x = V* N V is block diagonal in r's eigenbasis V, within
+    tol max|N|.  The full commutator, read from the same x as
+    ||[R, N]||_op / max|r|, must be within tol max|N| as well, and the
+    conjunction of the two routes is returned; neither depends on the
+    units of r or of N, and the commutator not on the frame either.
     """
     ops = _operators(n, r.dim)
-    full = reconstruct(r)
     v = r.full_basis()
     off_block = r.labels[:, None] != r.labels
     verdict = True
     for op, _ in ops:
         op, op_norm = _pow2_scaled(op)  # exact, and V* N V cannot overflow
-        leak = max_abs((dagger(v) @ op @ v)[off_block])
-        verdict = verdict and leak <= tol * op_norm
-        verdict = verdict and _relative_commutator(full, op) <= tol
+        x = dagger(v) @ op @ v
+        verdict = verdict and max_abs(x[off_block]) <= tol * op_norm
+        verdict = verdict and _commutator_norm(r, x) <= tol * op_norm
     return verdict
 
 

@@ -212,6 +212,26 @@ def reconstruct(obs: Observable) -> np.ndarray:
     return (v * np.take(obs.eigenvalues, obs.labels)) @ dagger(v)
 
 
+def _unit_spectrum(obs: Observable) -> np.ndarray:
+    """The eigenvalue of each column of ``full_basis()`` over the largest magnitude; zeros for R = 0."""
+    values = np.take(obs.eigenvalues, obs.labels)
+    top = np.abs(values).max()
+    return values / top if top > 0 else np.zeros_like(values)
+
+
+def _commutator_norm(obs: Observable, x: np.ndarray) -> float:
+    """||[R, X]||_op / max|r| from X in R's eigenframe V, x = V* X V.
+
+    There the commutator is the matrix (r_a - r_b) x_ab.  The eigenvalues
+    are divided by their largest magnitude first, so no entry overflows.
+    The largest singular value is the root of the top eigenvalue of C* C.
+    Neither it nor max|r| depends on the frame X is written in.
+    """
+    r = _unit_spectrum(obs)
+    c = (r[:, None] - r) * x
+    return float(np.sqrt(max(np.linalg.eigvalsh(dagger(c) @ c)[-1], 0.0)))
+
+
 def is_function_refinement(fine: Observable, coarse: Observable, tol: float = DEFAULT_TOL) -> bool:
     """True iff every coarse projector is a sum of fine projectors.
 

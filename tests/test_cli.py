@@ -476,7 +476,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("partner", ["sz", "same"])
     def test_overflowing_residual_is_4(self, put, mode, partner):
         # the name is kept from when an unscaled commutator overflowed and
-        # exited 4; read at a power-of-two scale, it gives a verdict
+        # exited 4; read from eigenvalues over their largest magnitude, it gives a verdict
         big = put("big.txt", [[1e308, 1e308], [1e308, -1e308]])
         s = big if partner == "same" else put("s.txt", SZ)
         with warnings.catch_warnings():
@@ -489,7 +489,7 @@ class TestExitCodes:
             assert "comm_residual=0.0" in lines
         else:
             assert lines[-1] == "verdict c1=false c2=false comm=false"
-            assert "comm_residual=1.9999999999999996" in lines
+            assert "comm_residual=1.4142135623730951" in lines
 
     def test_state_with_entries_near_the_largest_double_is_3(self, put):
         # eigenvalues 0.5 -+ 1e308: not a state, and no warning on the way

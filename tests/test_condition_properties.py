@@ -5,7 +5,9 @@ checks, in both modes, against the dense formulas they replace: the
 (j, k, l) loop over dense Kraus products A_k, B_j and projectors P_l.
 Pairs run over dimensions 2-16, simple, degenerate and mixed spectra,
 commuting and non-commuting.  Sampled mode draws pure states z; the dense
-references take them as the density operators z z*.
+references take them as the density operators z z*.  The witness, the
+commutator and ``measurable_under`` must not depend on rounding, on the
+frame or on the units of R.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from qmeasure.channels import (
 )
 from qmeasure.compatibility import (
     _random_state_batch,
+    compat_report,
     condition1_holds,
     condition2_holds,
     heisenberg_observable,
@@ -31,8 +34,9 @@ from qmeasure.compatibility import (
     theta_condition2,
     verdict_from_residual,
 )
+from qmeasure.constraints import measurable_under
 from qmeasure.linalg import DEFAULT_TOL, dagger, random_unitary
-from qmeasure.observables import spectral_decompose
+from qmeasure.observables import Observable, SpectralPair, reconstruct, spectral_decompose
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 SAMPLES = 20
@@ -203,7 +207,7 @@ def test_sampled_witness_is_pure_and_replays_through_channels(kind_r, data):
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_tie_goes_to_the_last_triple(mode):
+def test_tie_goes_to_the_first_triple(mode):
     # diagonal 0/1 projectors make every residual exactly zero, so every
     # triple ties and the scan order (j, then k, then l) decides
     r = spectral_decompose(np.diag([1.0, 2.0, 2.0]))
@@ -212,8 +216,27 @@ def test_tie_goes_to_the_last_triple(mode):
     for name, check, _, s_ops in _checks(r, s, fam_r, fam_s):
         res = check(mode)
         assert res.residual == 0.0, name
-        want = (None, 1, None) if s_ops is None else (1, 1, 0)
+        want = (None, 0, None) if s_ops is None else (0, 0, 1)
         assert (res.witness.k, res.witness.j, res.witness.l) == want, name
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), ulps=st.integers(-4, 4))
+def test_witness_survives_rounding_of_a_symmetric_tie(seed, ulps):
+    # Z against X ties every exact residual: condition 1 (0, j, 1) with
+    # (1, j, 0), condition 2 j = 0 with j = 1.  A few ulps on one entry of
+    # X and a common Haar rotation move the residuals by rounding only.
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = random_unitary(2, seed)
+    tilted = x + np.diag([ulps * 2.0**-53, 0.0])
+    runs = []
+    for r, s in ((z, x), (dagger(u) @ z @ u, dagger(u) @ tilted @ u)):
+        r, s = spectral_decompose(r), spectral_decompose(s)
+        runs.append(_checks(r, s, make_theta_family(r, r.basis), make_theta_family(s, s.basis)))
+    for (name, check, _, _), (_, check_moved, _, _) in zip(*runs):
+        tie, rounded = check("exact"), check_moved("exact")
+        assert abs(tie.residual - rounded.residual) <= 1e-12, name
+        assert rounded.witness == tie.witness, (name, tie.witness, rounded.witness)
 
 
 def _moved(fam, obs, u):
@@ -242,3 +265,43 @@ def test_sampled_residual_is_at_most_the_exact_one(pair):
     for name, check, _, _ in _checks(*pair):
         sampled, exact = check("sampled").residual, check("exact").residual
         assert sampled <= exact + 1e-12, (name, sampled, exact)
+
+
+def _scaled(obs, factor):
+    """factor R: the same eigenspaces, every eigenvalue times ``factor``."""
+    return Observable(dim=obs.dim, pairs=tuple(SpectralPair(factor * p.eigenvalue, p.basis) for p in obs.pairs))
+
+
+def _report_verdicts(rep):
+    return rep.verdict_condition1, rep.verdict_condition2, rep.verdict_commute, rep.indeterminate
+
+
+SCALES = (2.0**-3, 1.0, 1e6, 1e300)
+
+
+@PROPERTY
+@given(pair=pairs(max_dim=8), seed=st.integers(0, 2**32 - 1), factor=st.sampled_from(SCALES))
+def test_commutator_does_not_depend_on_the_frame_or_the_units(pair, seed, factor):
+    # ||[R, S]||_op / (max|r| max|s|) is an O(1) norm, so near 0 the bound is absolute
+    r, s, _, _ = pair
+    u = random_unitary(r.dim, seed)
+    base = compat_report(r, s, mode="exact")
+    for moved in (
+        compat_report(heisenberg_observable(r, u), heisenberg_observable(s, u), mode="exact"),
+        compat_report(_scaled(r, factor), s, mode="exact"),
+    ):
+        a, b = base.commutator_residual, moved.commutator_residual
+        assert abs(a - b) <= 1e-12 * max(1.0, a, b), (a, b)
+        assert _report_verdicts(moved) == _report_verdicts(base)
+
+
+@PROPERTY
+@given(pair=pairs(max_dim=8), seed=st.integers(0, 2**32 - 1), factor=st.sampled_from(SCALES))
+def test_measurable_under_does_not_depend_on_the_frame_or_the_units(pair, seed, factor):
+    # S as the constraint: R may be measured iff the two commute
+    r, s, _, _ = pair
+    u = random_unitary(r.dim, seed)
+    n = reconstruct(s)
+    verdict = measurable_under(r, n)
+    assert measurable_under(heisenberg_observable(r, u), dagger(u) @ n @ u) == verdict
+    assert measurable_under(_scaled(r, factor), n) == verdict
