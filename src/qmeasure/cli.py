@@ -39,7 +39,7 @@ from .constraints import (
     preserves_constraint,
     random_constrained_density,
 )
-from .errors import BadArgument, NotHermitian, ParseError, QMeasureError, ValidationError
+from .errors import BadArgument, DimMismatch, NotHermitian, ParseError, QMeasureError, ValidationError
 from .linalg import DEFAULT_CLUSTER_TOL, DEFAULT_TOL
 from .matrixio import format_matrix, read_matrix, read_observable_file
 from .observables import Observable, observable_from_pairs, spectral_decompose
@@ -180,11 +180,13 @@ def cmd_compat(args, cfg: RunConfig, out) -> int:
 def cmd_constraint(args, cfg: RunConfig, out) -> int:
     if args.random is not None and args.random < 1:
         raise BadArgument(f"random must be at least 1, got {args.random}")
+    r = load_observable(args.r, cfg)
     if args.exchange:
+        if args.localdim**2 != r.dim:
+            raise DimMismatch(f"constraint dim {args.localdim**2} does not match dim {r.dim}")
         constraint = make_exchange_constraint(args.localdim, symmetric=args.exchange == "sym")
     else:
         constraint = Constraint(read_matrix(args.n), label=str(args.n))
-    r = load_observable(args.r, cfg)
     measurable = measurable_under(r, constraint, cfg.tol)
 
     if args.state:

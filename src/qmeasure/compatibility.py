@@ -60,6 +60,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import (
+    BadArgument,
     ContractError,
     DimMismatch,
     NotPositive,
@@ -163,10 +164,13 @@ def _random_state_batch(dim: int, samples: int, seed: int) -> np.ndarray:
 
     Every sampled residual is linear in the state, Tr(M Z), so its
     maximum over all states is reached at a pure state: mixed states
-    would add cost and no detection power.
+    would add cost and no detection power.  A draw numpy refuses is a BadArgument.
     """
     rng = _rng(seed)
-    g = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
+    try:
+        g = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
+    except (MemoryError, ValueError):
+        raise BadArgument(f"cannot draw {samples} random states of dim {dim}") from None
     return g / np.linalg.norm(g, axis=1)[:, None]
 
 

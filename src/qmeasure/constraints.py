@@ -11,14 +11,14 @@ constraint (1 -+ SWAP)/2 confines states to the symmetric (bosonic) or
 antisymmetric (fermionic) sector, and only exchange-symmetric observables
 are measurable.
 
-Each function reads its constraint once, every member as a pair
-(N, max(1, max|N|)).  Every verdict on N Z, input state or branch, is
-max|N Z| <= tol max(1, max|N|): absolute for max|N| <= 1, relative to
-scale above it.  Random constrained states are drawn inside the kernel, so
-every draw satisfies the constraint.  ``measurable_under`` keeps two
-routes, the block leak of V* N V and the full commutator read from the
-same V* N V, and requires both: on near-commuting pairs the leak alone
-admits some the commutator rejects.
+N Z = 0 does not change when N is rescaled, so each function reads its
+constraint once, every member as the unit operator N^ = N / max|N|, and
+judges each verdict against tol at that scale: max|N^ Z| for a state or
+a branch, the singular values of N^ for the kernel, V* N^ V for
+measurability.  Random constrained states are drawn inside the kernel.
+``measurable_under`` keeps two routes, the block leak of V* N^ V and the
+full commutator read from the same V* N^ V, and requires both: on
+near-commuting pairs the leak alone admits some the commutator rejects.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadDim, ConstraintViolatedOnInput, DimMismatch, ValidationError
-from .linalg import DEFAULT_TOL, _pow2_scaled, _relative_commutator, as_matrix, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _relative_commutator, _unit, as_matrix, dagger, freeze, max_abs
 from .channels import lueders_select
 from .observables import Observable, _commutator_norm
 from .states import DensityOperator, _gaussian, state_matrix
@@ -112,7 +112,7 @@ class OutcomePreservation(NamedTuple):
 
 
 def _operators(n, dim: int | None = None) -> tuple:
-    """The one reading of a constraint: each member as (N, max(1, max|N|)).
+    """The one reading of a constraint: each member as the unit operator N / max|N| (``_unit``).
 
     A ``dim`` other than the members' own raises DimMismatch.
     """
@@ -121,32 +121,32 @@ def _operators(n, dim: int | None = None) -> tuple:
     members = n.members if isinstance(n, ConstraintSet) else (n if isinstance(n, Constraint) else Constraint(n),)
     if dim is not None and members[0].dim != dim:
         raise DimMismatch(f"constraint dim {members[0].dim} does not match dim {dim}")
-    return tuple((m.operator, max(1.0, max_abs(m.operator))) for m in members)
+    return tuple(_unit(m.operator) for m in members)
 
 
 def _violation(ops, m: np.ndarray, tol: float) -> SatisfactionResult:
-    """The one rule on N M = 0: the worst max|N M| / max(1, max|N|) must be at most tol.
+    """The one rule on N M = 0: the worst max|N^ M| over the unit members N^ must be at most tol.
 
-    It is read as max|(N / max(1, max|N|)) M|, so N M cannot overflow;
-    for max|N| <= 1 that divides by 1.0 and the residual is the absolute one.
+    That is max|N M| / max|N|, so neither a rescaling of N moves it nor
+    can N M overflow.
     """
-    residual = max(max_abs((op / scale) @ m) for op, scale in ops)
+    residual = max(max_abs(op @ m) for op in ops)
     return SatisfactionResult(residual <= tol, residual)
 
 
 def _kernel_basis(ops, tol: float) -> np.ndarray:
     """Orthonormal columns B (d x k, k may be 0) spanning the joint kernel of the members.
 
-    B holds the right singular vectors of the members stacked as
-    N / max(1, max|N|) whose singular value is at most tol, the bound
-    ``_violation`` applies: every state B Y B* has max|N Z| <= tol max(1, max|N|).
+    B holds the right singular vectors of the unit members N^ stacked
+    whose singular value is at most tol, the bound ``_violation`` applies:
+    every state B Y B* has max|N^ Z| <= tol.
     """
-    _, sigma, vh = np.linalg.svd(np.vstack([op / scale for op, scale in ops]), full_matrices=False)
+    _, sigma, vh = np.linalg.svd(np.vstack(ops), full_matrices=False)
     return dagger(vh[sigma <= tol])
 
 
 def satisfies(z, n, tol: float = DEFAULT_TOL) -> SatisfactionResult:
-    """Is N Z = 0 (for every member, if given a set)?  Residual always reported, relative to max(1, max|N|)."""
+    """Is N Z = 0 (for every member, if given a set)?  Residual always reported, max|N Z| / max|N|."""
     zm = state_matrix(z)
     return _violation(_operators(n, zm.shape[0]), zm, tol)
 
@@ -155,21 +155,19 @@ def measurable_under(r: Observable, n, tol: float = DEFAULT_TOL) -> bool:
     """May r be measured on the constrained system?
 
     True iff every projector of r commutes with every constraint N, that
-    is iff x = V* N V is block diagonal in r's eigenbasis V, within
-    tol max|N|.  The full commutator, read from the same x as
-    ||[R, N]||_op / max|r|, must be within tol max|N| as well, and the
-    conjunction of the two routes is returned; neither depends on the
+    is iff x = V* N^ V (N^ = N / max|N|, V r's eigenbasis) is block
+    diagonal within tol, and the full commutator read from the same x as
+    ||[R, N^]||_op / max|r| is within tol; neither route depends on the
     units of r or of N, and the commutator not on the frame either.
     """
     ops = _operators(n, r.dim)
     v = r.full_basis()
     off_block = r.labels[:, None] != r.labels
     verdict = True
-    for op, _ in ops:
-        op, op_norm = _pow2_scaled(op)  # exact, and V* N V cannot overflow
+    for op in ops:
         x = dagger(v) @ op @ v
-        verdict = verdict and max_abs(x[off_block]) <= tol * op_norm
-        verdict = verdict and _commutator_norm(r, x) <= tol * op_norm
+        verdict = verdict and max_abs(x[off_block]) <= tol
+        verdict = verdict and _commutator_norm(r, x) <= tol
     return verdict
 
 

@@ -267,28 +267,19 @@ def commutes(a, b, tol: float = DEFAULT_TOL) -> CommutationResult:
     return CommutationResult(residual <= tol, residual)
 
 
-def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
-    """x 2^e, exactly: ``ldexp`` on the real and imaginary parts, since 2^e need not be a double."""
-    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), e).view(complex)
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x / max|x|, the one reading of an operator or a spectrum at unit scale; a zero x stays zero.
 
-
-def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """(x 2^-e, max|x| 2^-e), e bringing max|x| into [0.5, 1).  A zero x stays zero."""
-    mant, e = np.frexp(max_abs(x))
-    return _ldexp(x, -e), float(mant)
+    The real and imaginary parts are divided by the float max|x| on their
+    own: a complex division by a subnormal max would overflow."""
+    x = np.ascontiguousarray(x)
+    return (x.view(x.real.dtype) / (max_abs(x) or 1.0)).view(x.dtype)
 
 
 def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
-    """max|[A, B]| / (max|A| max|B|), 0 when either operator is zero.
-
-    Rescaling either operator leaves this unchanged, so a verdict judged
-    on it does not depend on the units the operators are given in.  It
-    is read at the scale of ``_pow2_scaled``, where the products neither
-    overflow nor underflow.
-    """
-    (a, a_norm), (b, b_norm) = _pow2_scaled(a), _pow2_scaled(b)
-    scale = a_norm * b_norm
-    return commutes(a, b).residual / scale if scale > 0 else 0.0
+    """max|[A, B]| / (max|A| max|B|), 0 when either is zero, read as the commutator of the
+    unit operators: no product overflows and no verdict on it depends on the units."""
+    return commutes(_unit(a), _unit(b)).residual
 
 
 # np.random in strings: evaluated, it would import numpy.random at every CLI start

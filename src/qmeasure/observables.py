@@ -28,6 +28,7 @@ from .linalg import (
     _eig_hermitian_stack,
     _groups,
     _sealed,
+    _unit,
     as_matrix,
     dagger,
     eig_hermitian,
@@ -213,10 +214,8 @@ def reconstruct(obs: Observable) -> np.ndarray:
 
 
 def _unit_spectrum(obs: Observable) -> np.ndarray:
-    """The eigenvalue of each column of ``full_basis()`` over the largest magnitude; zeros for R = 0."""
-    values = np.take(obs.eigenvalues, obs.labels)
-    top = np.abs(values).max()
-    return values / top if top > 0 else np.zeros_like(values)
+    """The eigenvalue of each column of ``full_basis()`` at unit scale (``_unit``); zeros for R = 0."""
+    return _unit(np.take(obs.eigenvalues, obs.labels))
 
 
 def _commutator_norm(obs: Observable, x: np.ndarray) -> float:

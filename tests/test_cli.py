@@ -578,6 +578,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: BadArgument: random must be at least 1")
 
+    def test_exchange_of_the_wrong_dimension_is_3_before_it_is_built(self, put, monkeypatch):
+        # the (localdim^2)^2 operator would need 1.6e21 bytes at localdim 100000
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("exchange operator built before the dimension check")
+
+        monkeypatch.setattr(cli, "make_exchange_constraint", unbuilt)
+        r = put("r.txt", np.diag([2.0, 0.0, 0.0, -2.0]))
+        code, out, err = invoke(["constraint", "--exchange", "sym", "--localdim", "100000", "--r", r, "--random", "1"])
+        assert (code, out) == (3, "")
+        assert err == "error: DimMismatch: constraint dim 10000000000 does not match dim 4\n"
+
+    @pytest.mark.parametrize("samples", ["1000000000000000", str(2**64)])
+    @pytest.mark.parametrize("mode", ["sampled", "both"])
+    def test_sample_count_numpy_cannot_draw_is_3(self, put, samples, mode):
+        argv = ["compat", "--r", put("r.txt", SZ), "--s", put("s.txt", SX), "--samples", samples, "--mode", mode]
+        # numpy refuses both draws before it writes a byte: a memory error, and a shape it cannot index
+        code, out, err = invoke(argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: BadArgument: cannot draw {samples} random states of dim 2\n"
+
     def test_verdict_disagreement_is_4(self, put, monkeypatch):
         # a condition 1 route that fails a commuting pair breaks the
         # equivalence the report enforces

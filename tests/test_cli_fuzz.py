@@ -27,7 +27,8 @@ from qmeasure.matrixio import format_entry, format_matrix
 REALS = [1e308, -1e308, 1.7e308, 1e-320, -5e-324, 0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 0.25, 1e-9]
 TOLS = ["1e-9", "inf", "nan", "0", "-1", "1e300", "1e-300", "1e-6"]
 SEEDS = ["0", "-1", str(2**70), "3"]
-SAMPLES = ["1", "0", "-2", "7"]
+SAMPLES = ["1", "0", "-2", "7", str(2**64)]
+LOCALDIMS = ["100000", "2", "1", "3"]
 ERROR_LINE = re.compile(r"error: [A-Za-z]+: [^\n]*\n")
 # a non-finite float as repr prints it, also inside an a+bi entry
 NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-hj-z])")
@@ -56,6 +57,8 @@ PAULI_Z = _text(np.diag([1.0, -1.0]))
 HUGE_OFF_DIAGONAL = _text([[0.5, 1e308], [1e308, 0.5]])
 _U = random_unitary(3, 4)
 LARGE_UNIT_N = _text(1e8 * (_U @ np.diag([1.0, 0.0, 2.0]) @ dagger(_U)))
+# max|N| < 1 and a singular value near sqrt(tol), which a Gram-matrix kernel would count as kernel
+SMALL_NEAR_SQRT_TOL_N = _text(2.0**-3 * (_U @ np.diag([1.0, 3e-5, 0.0]) @ dagger(_U)))
 
 entries = st.builds(complex, st.sampled_from(REALS), st.sampled_from([0.0, *REALS]))
 
@@ -140,8 +143,8 @@ def invocations(draw):
             if draw(st.booleans()):
                 args += [flag, draw(unitaries(dim))]
     elif command == "constraint":
-        if dim == 4 and draw(st.booleans()):
-            args = ["--exchange", draw(st.sampled_from(["sym", "antisym"]))]
+        if draw(st.booleans()):
+            args = ["--exchange", draw(st.sampled_from(["sym", "antisym"])), "--localdim", draw(st.sampled_from(LOCALDIMS))]
         else:
             args = ["--n", draw(obs)]
         args += ["--r", draw(obs)]
@@ -173,6 +176,9 @@ def invocations(draw):
 @example(["measure", "--observable", BIG, "--state", _text(np.diag([1e308, 1e308])), "--aggregate"])
 @example(["demo", "--tol", "1e-300"])
 @example(["constraint", "--n", LARGE_UNIT_N, "--r", LARGE_UNIT_N, "--random", "3"])
+@example(["constraint", "--n", SMALL_NEAR_SQRT_TOL_N, "--r", SMALL_NEAR_SQRT_TOL_N, "--random", "3"])
+@example(["constraint", "--exchange", "sym", "--localdim", "100000", "--r", _text(np.diag([1.0, 2.0, 3.0, 4.0])), "--random", "1"])
+@example(["compat", "--r", PAULI_Z, "--s", BIG, "--mode", "sampled", "--samples", str(2**64)])
 def test_every_argv_ends_in_a_documented_exit(argv):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []

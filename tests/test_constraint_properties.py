@@ -4,7 +4,7 @@ A constraint N = s U diag(spectrum) U*, whose spectrum has zeros, is
 taken at scales s from 2^-3 to 1e300.  Every state drawn from its kernel
 must be a state that satisfies N, and measuring an observable that
 commutes with N must keep every branch inside the kernel: each verdict
-on N Z is relative to max(1, max|N|), so none depends on s.
+on N Z is read at the unit scale N / max|N|, so none depends on s.
 
 ``random_constrained_density`` reads its Gaussian in the kernel basis.
 The rejection loop it replaced, which compressed ``random_density`` into
@@ -124,7 +124,7 @@ def test_cli_random_states_of_a_large_unit_constraint_keep_every_branch(scale, t
 
 @pytest.mark.parametrize("sigma", [1e-5, 1e-8, 1e-12])
 def test_cli_random_never_rejects_its_own_draw(sigma, tmp_path):
-    # N = diag(1, sigma): the kernel keeps the singular values of N / max(1, max|N|)
+    # N = diag(1, sigma): the kernel keeps the singular values of N / max|N|
     # up to tol, the bound the N Z rule applies, so sigma = 1e-5 and 1e-8 leave no
     # kernel at all, and sigma = 1e-12 leaves one whose draws keep every branch
     (tmp_path / "n.txt").write_text(format_matrix(np.diag([1.0, sigma])))

@@ -83,9 +83,10 @@ class TestSatisfies:
         assert res.residual < 1e-14
 
     def test_product_state_violates(self):
+        # max|N Z| = 0.5 over max|N| = 0.5: the residual does not depend on the units of N
         res = satisfies(from_pure([0.0, 1.0, 0.0, 0.0]), N_SYM)
         assert not res.satisfied
-        assert res.residual == pytest.approx(0.5)
+        assert res.residual == pytest.approx(1.0)
 
     def test_zero_constraint(self):
         z = random_density(4, 4, 0)
@@ -176,7 +177,7 @@ class TestKernel:
         assert max_abs(p) < 1e-12
 
     def test_full_rank_constraint_near_the_largest_double_has_an_empty_kernel(self):
-        # N*N would overflow; at a power-of-two scale it is full rank
+        # N*N would overflow; at unit scale N / max|N| it is full rank
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p = kernel_projector(Constraint([[1e308, 1e308], [1e308, -1e308]]))
@@ -184,14 +185,14 @@ class TestKernel:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-3, 2.0**300, 2.0**700])
     def test_threshold_is_the_unscaled_one(self, scale):
-        # N / max(1, max|N|) has singular values down to 6e-5 * min(1, scale) >= 7.5e-6,
-        # far above tol = 1e-9 at every scale: no kernel.  A Gram matrix N*N would
-        # square 7.5e-6 to 5.6e-11, below tol, and find a kernel at scale 2^-3.
+        # N / max|N| has singular values 1 and 6e-5 at every scale, far above
+        # tol = 1e-9: no kernel.  A Gram matrix N*N would square 6e-5 * 2^-3 = 7.5e-6
+        # to 5.6e-11, below tol, and find a kernel at scale 2^-3.
         n = np.diag([1.0, 6e-5]) * scale
         assert max_abs(kernel_projector(Constraint(n))) == 0.0
 
     def test_exchange_kernel_keeps_its_bits(self):
-        # max|N| = 0.5 is below 1, so the operator is divided by 1.0 and keeps its bits
+        # N / max|N| = 2N is an exact power-of-two scaling, so the singular vectors keep their bits
         _, sigma, vh = np.linalg.svd(N_SYM.operator, full_matrices=False)
         block = dagger(vh[sigma <= 1e-9])
         assert kernel_projector(N_SYM).tobytes() == (block @ dagger(block)).tobytes()
