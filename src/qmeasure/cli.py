@@ -16,6 +16,7 @@ outcome).
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .constraints import (
     random_constrained_density,
 )
 from .errors import BadArgument, DimMismatch, NotHermitian, ParseError, QMeasureError, ValidationError
-from .linalg import DEFAULT_CLUSTER_TOL, DEFAULT_TOL
 from .matrixio import format_matrix, read_matrix, read_observable_file
 from .observables import Observable, observable_from_pairs, spectral_decompose
 from .states import validate
@@ -223,7 +223,7 @@ def cmd_demo(args, cfg: RunConfig, out) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a value given before the subcommand from being clobbered
-    # by the subparser's defaults; run() fills in the real defaults.
+    # by the subparser's defaults; RunConfig holds the real defaults.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="numeric tolerance")
     common.add_argument(
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=argparse.SUPPRESS, help="random states per sampled check"
     )
     common.add_argument(
-        "--format", choices=OUTPUT_FORMATS, default=argparse.SUPPRESS, help="output style"
+        "--format", choices=OUTPUT_FORMATS, dest="output_format", default=argparse.SUPPRESS,
+        help="output style",
     )
 
     parser = argparse.ArgumentParser(
@@ -305,13 +306,8 @@ def run(argv=None, out=None, err=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        cfg = RunConfig(
-            tol=getattr(args, "tol", DEFAULT_TOL),
-            cluster_tol=getattr(args, "cluster_tol", DEFAULT_CLUSTER_TOL),
-            seed=getattr(args, "seed", 0),
-            samples=getattr(args, "samples", 100),
-            output_format=getattr(args, "format", "text"),
-        )
+        # a flag not given is absent from args, so RunConfig supplies its default
+        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
         return args.func(args, cfg, out)
     except QMeasureError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)

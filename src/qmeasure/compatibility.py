@@ -39,13 +39,14 @@ their largest magnitude: no entry overflows, and no frame or unit moves it.
 
 Cost.  One kernel, ``_conditions``, runs both conditions on every
 requested route in R's eigenbasis V, and no dense Kraus product is
-formed.  V*, W* T, V* U and one overlap N_j = (V* U_j)(W_j* T) per S
-outcome, with |N_j|^2, are formed once, O(K_S d^3) at most; blocks and
-batches follow ``Observable.groups``.  Exact condition 1 is a block sum
-of |N_j|^2 and exact condition 2 a block mask, O(d^3) over all j.  The
-sampled traces cost O(samples d^2) for condition 2 and
-O(samples K_S d m_k) for condition 1 per outcome of R of multiplicity
-m_k > 1.  The commutator costs three d x d products (V* W, x and C* C)
+formed.  V*, W* T and V* U are formed once.  Condition 1 then reads one
+S outcome j at a time: its overlap N_j = (V* U_j)(W_j* T), a d x d
+product of inner size m_j, and |N_j|^2, O(d^2 m_j) each and O(d^3) over
+all j, so no more than one outcome's products are held at once.  Exact
+condition 1 is a block sum of |N_j|^2 and exact condition 2 a block
+mask.  The sampled traces cost O(samples d^2) for condition 2 and
+O(samples d m_k) per S outcome for condition 1 per outcome of R of
+multiplicity m_k > 1.  The commutator costs three d x d products (V* W, x and C* C)
 and one Hermitian eigenvalue solve, O(d^3).
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,
@@ -78,10 +79,8 @@ from .linalg import (
     as_matrix,
     commutes,
     dagger,
-    eig_hermitian,
     max_abs,
     random_unitary,
-    require_hermitian,
 )
 from .channels import ThetaFamily, lueders_select
 from .observables import Observable, SpectralPair, _commutator_norm, _unit_spectrum, spectral_decompose
@@ -112,10 +111,6 @@ FAILS = "fails"
 INDETERMINATE = "indeterminate"
 
 _MODES = ("exact", "sampled")
-
-# complex entries the batched condition-1 products hold at once, small
-# enough to stay in cache
-_CHUNK = 1 << 16
 
 
 def verdict_from_residual(residual: float, tol: float) -> str:
@@ -237,7 +232,7 @@ def _conditions(r, r_targets, s, s_targets, probe_sets, tol, conditions=(1, 2)) 
 
 
 def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
-    """Condition 1 per probe set, from the overlaps N_j formed once.
+    """Condition 1 per probe set, one S outcome j at a time, each overlap N_j formed once.
 
     The (l, k) block X of N_j = (V* U_j)(W_j* T) is V_l* B_j T_k, so
     A_k* B_j* P_l B_j A_k = V_k X* X V_k*.  Exact mode takes the worst
@@ -245,10 +240,12 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     the worst Tr(P_l B_j A_k Z A_k* B_j*) = ||X y_k||^2, y_k the k block
     of y = V* z.  For a rank-1 outcome k that is |X|^2 |y_k|^2, so the
     max over states comes before the product; outcomes of multiplicity
-    m > 1 form N_j[:, cols_k] @ y_k, O(d m) a state.  Outcomes of one
-    multiplicity are batched.  The witness is the first triple in scan
-    order (j, then k, then l) whose residual is within a relative 1e-12
-    of the worst, so rounding alone does not move it; condition 2 scans j.
+    m > 1 form N_j[:, cols_k] @ y_k, O(d m) a state, outcomes of one
+    multiplicity in one stacked product.  So the temporaries are those of
+    one S outcome: N_j and, for m > 1, X y_k per state and outcome k.
+    The witness is the first triple in scan order (j, then k, then l)
+    whose residual is within a relative 1e-12 of the worst, so rounding
+    alone does not move it; condition 2 scans j.
     """
     d, kr = len(vh), r.outcome_count
     if kr < 2:
@@ -257,38 +254,30 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     exact = [i for i, y in enumerate(ys) if y is None]
     weights = [(i, y, np.abs(y) ** 2) for i, y in enumerate(ys) if y is not None]
     sampled = [(i, y, w.max(axis=1), w.argmax(axis=1)) for i, y, w in weights]
-    # entries one S outcome's products hold: N_j, and X y_k per state of
-    # the largest batch for m > 1
-    probes = max((y.shape[1] for _, y, _ in weights), default=0)
-    per_j = d * d + sum(len(ks) * d * probes for m, ks, _ in r.groups if m > 1)
     res = np.empty((len(ys), s.outcome_count, kr, kr))
     state = np.zeros(res.shape, dtype=int)
-    for _, js, s_cols in s.groups:
-        parts = min(len(js), -(-len(js) * per_j // _CHUNK))
-        for part in np.array_split(np.arange(len(js)), parts):
-            n = np.moveaxis(vu[:, s_cols[part]], 1, 0) @ wt[s_cols[part]]
-            # |N_j|^2 summed over the rows of each l block (one row each when R is simple)
-            rows = np.abs(n) ** 2
-            if kr < d:
-                rows = np.add.reduceat(rows, r.offsets, axis=1)
-            if exact:
-                # and over the columns of each k block: ||X_lk||_F^2 at [j, l, k]
-                traces = np.add.reduceat(rows, r.offsets, axis=2) if kr < d else rows
-                for i in exact:
-                    res[i][js[part]] = np.swapaxes(traces, 1, 2)
-            for m, ks, cols in r.groups if sampled else ():
-                at = np.ix_(js[part], ks)
-                if m == 1:
-                    c = cols[:, 0]
-                    overlap = rows[:, :, c]
-                    for i, _, peak, best in sampled:
-                        res[i][at] = np.swapaxes(overlap * peak[c], 1, 2)
-                        state[i][at] = best[c, None]
-                    continue
-                x = np.moveaxis(n[:, :, cols], 2, 1)
-                for i, y, _, _ in sampled:
-                    norms = np.add.reduceat(np.abs(x @ y[cols]) ** 2, r.offsets, axis=2)
-                    res[i][at], state[i][at] = norms.max(axis=3), norms.argmax(axis=3)
+    for j, (lo, w) in enumerate(zip(s.offsets, s.basis)):
+        n = vu[:, lo : lo + w.shape[1]] @ wt[lo : lo + w.shape[1]]
+        # |N_j|^2 summed over the rows of each l block (one row each when R is simple)
+        rows = np.abs(n) ** 2
+        if kr < d:
+            rows = np.add.reduceat(rows, r.offsets, axis=0)
+        if exact:
+            # and over the columns of each k block: ||X_lk||_F^2 at [l, k]
+            traces = np.add.reduceat(rows, r.offsets, axis=1) if kr < d else rows
+            for i in exact:
+                res[i, j] = traces.T
+        for m, ks, cols in r.groups if sampled else ():
+            if m == 1:
+                c = cols[:, 0]
+                for i, _, peak, best in sampled:
+                    res[i, j, ks] = (rows[:, c] * peak[c]).T
+                    state[i, j, ks] = best[c, None]
+                continue
+            x = np.moveaxis(n[:, cols], 1, 0)
+            for i, y, _, _ in sampled:
+                norms = np.add.reduceat(np.abs(x @ y[cols]) ** 2, r.offsets, axis=1)
+                res[i, j, ks], state[i, j, ks] = norms.max(axis=2), norms.argmax(axis=2)
     res[:, :, np.arange(kr), np.arange(kr)] = -1.0
     out = []
     for zs, worst, where in zip(probe_sets, res, state):
@@ -387,11 +376,11 @@ def lemma_check(b, c, tol: float = DEFAULT_TOL) -> bool:
     x must satisfy |BCx|^2 <= |B|_op * <x, C*BC x> + tol.  In particular
     C*BC = 0 forces BC = 0.
     """
-    bm = require_hermitian(b, tol, "B")
+    bm = as_matrix(b, "B")
+    values, _ = _eig_hermitian_stack(bm, tol, "B")
     cm = as_matrix(c, "C")
     if bm.shape != cm.shape:
         raise DimMismatch(f"B and C shapes differ: {bm.shape} vs {cm.shape}")
-    values = eig_hermitian(bm, tol).values
     if values[0] < -tol:
         raise NotPositive(f"B has negative eigenvalue {values[0]!r}")
     opnorm = float(max(values[-1], 0.0))

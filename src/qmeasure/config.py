@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadArgument, ValidationError
+from .linalg import DEFAULT_CLUSTER_TOL, DEFAULT_TOL
 
 OUTPUT_FORMATS = ("text", "machine")
 
@@ -12,8 +13,8 @@ __all__ = ["RunConfig", "OUTPUT_FORMATS"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    tol: float = 1e-9
-    cluster_tol: float = 1e-9
+    tol: float = DEFAULT_TOL
+    cluster_tol: float = DEFAULT_CLUSTER_TOL
     seed: int = 0
     samples: int = 100
     output_format: str = "text"

@@ -86,9 +86,9 @@ def require_hermitian(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.n
     return _require_hermitian(as_matrix(m, name), tol, name)
 
 
-def _require_hermitian(a: np.ndarray, tol: float, name: str, first: int = 0) -> np.ndarray:
+def _require_hermitian(a: np.ndarray, tol: float, name: str) -> np.ndarray:
     """``require_hermitian`` on a coerced matrix, or on a library-built stack (n, d, d) whose
-    matrices are each judged on their own scale; a failure names the worst, counting from ``first``."""
+    matrices are each judged on their own scale; a failure names the worst by its position."""
     if a.ndim == 3 and not np.isfinite(a).all():
         raise BadArgument(f"{name} contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf deviation fails, as it should
@@ -96,7 +96,7 @@ def _require_hermitian(a: np.ndarray, tol: float, name: str, first: int = 0) -> 
         bound = tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
         i = int(np.argmax(dev - bound))
     if dev.flat[i] > bound.flat[i]:
-        name += f" {first + i}" if a.ndim == 3 else ""
+        name += f" {i}" if a.ndim == 3 else ""
         raise NotHermitian(f"{name} deviates from its adjoint by {dev.flat[i]:.3e} (bound {bound.flat[i]:.1e})")
     return a
 
@@ -182,11 +182,11 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(values, dtype=float), vectors
 
 
-def _eig_hermitian_stack(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix", first: int = 0):
+def _eig_hermitian_stack(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix"):
     """The one checked eigen path, (values, vectors) of a coerced matrix or a library-built
     stack (n, m, m): one ``_require_hermitian``, one ``eigh`` and one ``_fix_phases``
     for the whole stack, each matrix getting the bits it gets alone."""
-    values, vectors = _eigh(_require_hermitian(a, tol, name, first))
+    values, vectors = _eigh(_require_hermitian(a, tol, name))
     m = vectors.shape[-1]
     # the columns of all the matrices side by side, for one _fix_phases pass
     fixed = _fix_phases(vectors.swapaxes(0, -2).reshape(m, -1))

@@ -162,10 +162,6 @@ def _mean(values: np.ndarray) -> float:
     return float(np.sum(values / len(values)))
 
 
-# entries one stacked projector decomposition takes: one d=128 matrix, so its temporaries stay small
-_STACK = 1 << 14
-
-
 def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
     """Build an Observable from explicit (eigenvalue, projector) pairs.
 
@@ -173,8 +169,8 @@ def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
     Hermitian with eigenvalues 0 and 1 only and a non-empty range, the
     eigenvalues distinct, and the range bases B_k side by side must form
     a square B with B*B = I, which makes the family orthogonal and complete.
-    The projectors are decomposed by stacked ``eig_hermitian`` calls of at
-    most ``_STACK`` entries each; a failing one is named by its position
+    Each projector is decomposed on its own, so the temporaries are those
+    of one d x d eigendecomposition; a failing one is named by its position
     in ascending eigenvalue order.
     """
     items = sorted(((float(v), as_matrix(p, "projector")) for v, p in pairs), key=lambda it: it[0])
@@ -182,11 +178,10 @@ def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
         if not (b > a):
             raise ValidationError(f"eigenvalues must be distinct, got {a!r} twice")
     dim = require_same_dim(*(p for _, p in items))
-    spairs, step = [], max(1, _STACK // dim**2)
-    for lo in range(0, len(items), step):
-        chunk = items[lo : lo + step]
-        values, vectors = _eig_hermitian_stack(np.stack([p for _, p in chunk]), tol, "projector", lo)
-        spairs += [SpectralPair(v, _range_basis(vals, vecs, tol)) for (v, _), vals, vecs in zip(chunk, values, vectors)]
+    spairs = []
+    for i, (v, p) in enumerate(items):
+        values, vectors = _eig_hermitian_stack(p, tol, f"projector {i}")
+        spairs.append(SpectralPair(v, _range_basis(values, vectors, tol)))
     full = np.hstack([pair.basis for pair in spairs])
     if full.shape[1] != dim:
         raise ValidationError("multiplicities do not sum to the dimension")

@@ -4,8 +4,13 @@ ever printed.  A ``constraint --random`` run never rejects its own
 draws as violating the constraint.
 
 Argv is drawn from the subcommands, the global flags (before or after
-the subcommand) and generated files at d <= 4, whose entries include
-values near the largest double (1e308) and subnormals (1e-320).  Numpy
+the subcommand) and generated files at d <= 4.  The global flags a
+subcommand reads beyond the tolerances and the format (``--samples``
+and ``--seed`` for sampled ``compat`` and ``demo``, ``--seed`` for
+``measure --rule theta`` and ``constraint --random``) are also drawn
+inside its own branch, so a crash tied to one value on one subcommand
+is reached without an ``@example``.  File entries include values near
+the largest double (1e308) and subnormals (1e-320).  Numpy
 warnings are errors here, so finite input may not raise one either.
 """
 
@@ -27,7 +32,7 @@ from qmeasure.matrixio import format_entry, format_matrix
 REALS = [1e308, -1e308, 1.7e308, 1e-320, -5e-324, 0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 0.25, 1e-9]
 TOLS = ["1e-9", "inf", "nan", "0", "-1", "1e300", "1e-300", "1e-6"]
 SEEDS = ["0", "-1", str(2**70), "3"]
-SAMPLES = ["1", "0", "-2", "7", str(2**64)]
+SAMPLES = [str(2**64), "1", "0", "-2", "7"]
 LOCALDIMS = ["100000", "2", "1", "3"]
 ERROR_LINE = re.compile(r"error: [A-Za-z]+: [^\n]*\n")
 # a non-finite float as repr prints it, also inside an a+bi entry
@@ -119,9 +124,15 @@ def unitaries(draw, dim):
     return _text(draw(hermitian(dim)))
 
 
+def _reads(draw, *flags) -> list:
+    """Each (flag, values) a subcommand reads, drawn inside that subcommand's branch; left out comes last."""
+    given = [(flag, draw(st.sampled_from([*values, None]))) for flag, values in flags]
+    return [token for flag, value in given if value is not None for token in (flag, value)]
+
+
 @st.composite
 def invocations(draw):
-    """One argv: a subcommand with its options and files, global flags on either side."""
+    """One argv: a subcommand with its options, files and the global flags it reads, global flags on either side."""
     dim = draw(st.integers(1, 4))
     obs, state = observables(dim), states(dim)
     command = draw(st.sampled_from(["compat", "measure", "born", "decompose", "constraint", "demo"]))
@@ -132,13 +143,18 @@ def invocations(draw):
     elif command == "measure":
         rule = draw(st.sampled_from(["lueders", "vonneumann", "theta"]))
         args = ["--observable", draw(obs), "--state", draw(state), "--rule", rule]
+        if rule == "theta":
+            args += _reads(draw, ("--seed", SEEDS))
         if draw(st.booleans()):
             args += ["--outcome", str(draw(st.integers(-1, dim)))]
         args += [draw(st.sampled_from(["--select", "--aggregate"]))]
         if draw(st.booleans()):
             args += ["--normalize"]
     elif command == "compat":
-        args = ["--r", draw(obs), "--s", draw(obs), "--mode", draw(st.sampled_from(["both", "exact", "sampled"]))]
+        mode = draw(st.sampled_from(["both", "exact", "sampled"]))
+        args = ["--r", draw(obs), "--s", draw(obs), "--mode", mode]
+        if mode != "exact":
+            args += _reads(draw, ("--samples", SAMPLES), ("--seed", SEEDS))
         for flag in ("--u1", "--u2"):
             if draw(st.booleans()):
                 args += [flag, draw(unitaries(dim))]
@@ -148,9 +164,12 @@ def invocations(draw):
         else:
             args = ["--n", draw(obs)]
         args += ["--r", draw(obs)]
-        args += ["--state", draw(state)] if draw(st.booleans()) else ["--random", draw(st.sampled_from(["2", "0"]))]
+        if draw(st.booleans()):
+            args += ["--state", draw(state)]
+        else:
+            args += ["--random", draw(st.sampled_from(["2", "0"])), *_reads(draw, ("--seed", SEEDS))]
     else:
-        args = []
+        args = _reads(draw, ("--samples", SAMPLES), ("--seed", SEEDS))
     flags = draw(
         st.lists(
             st.one_of(

@@ -1,6 +1,7 @@
 """Compatibility conditions, the lemma, frame changes, and theta variants."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,28 @@ class TestConditions:
     def test_mode_validation(self):
         with pytest.raises(Exception):
             condition1_holds(Z_OBS, X_OBS, "fuzzy")
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_condition1_memory_is_one_s_outcome(self, mode):
+        # d = 64, simple S against R with five outcomes of multiplicity
+        # 12-13: condition 1 holds the products of one S outcome at a
+        # time, N_j and X y_k for every state and outcome k with m_k > 1
+        d, samples = 64, 100
+        u, w = random_unitary(d, 7), random_unitary(d, 8)
+        r = spectral_decompose(u @ np.diag(np.resize(np.arange(-2.0, 3.0), d)) @ dagger(u))
+        s = spectral_decompose(w @ np.diag(np.arange(d) + 0.5) @ dagger(w))
+        assert s.outcome_count == d and min(r.multiplicities) > 1
+        one_outcome = (d * d + sum(d * samples for m in r.multiplicities if m > 1)) * 16
+        condition1_holds(r, s, mode, samples, 0)  # warm up numpy's own caches
+        tracemalloc.start()
+        try:
+            condition1_holds(r, s, mode, samples, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # exact reads 0.85 and sampled 2.4 of this unit; batching S outcomes
+        # together, up to 2^16 entries a batch, read 4.4 and 3.6
+        assert peak < 3 * one_outcome
 
 
 class TestVerdictBand:

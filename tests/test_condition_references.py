@@ -247,8 +247,9 @@ def _simple_pair(dim, commuting, rng):
 def _pairs(dim):
     """Degenerate curated pairs and simple pairs, commuting and not.
 
-    At d=64 a simple S has more overlaps N_j than fit one chunk of the
-    kernel, so the split path runs.  Twelve pairs a dimension make 576
+    At d=64 a simple S has more overlaps N_j than fit one ``CHUNK`` of
+    the reference, so the reference's split path runs; the kernel reads
+    one S outcome at a time at every d.  Twelve pairs a dimension make 576
     reports: enough that joining two routes' probe products into one
     product moves a residual somewhere on the grid.
     """

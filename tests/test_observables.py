@@ -180,7 +180,7 @@ class TestObservableFromPairs:
             observable_from_pairs([(1.0, p), (2.0, np.diag([1.0, 0.0]))])
 
     def test_stack_chunks_keep_bits_and_names(self):
-        # d=64 decomposes four projectors a stacked call
+        # d=64 with one projector decomposed at a time
         u = random_unitary(64, 3)
         projectors = [np.outer(u[:, k], u[:, k].conj()) for k in range(64)]
         tracemalloc.start()
