@@ -45,8 +45,8 @@ product of inner size m_j, and |N_j|^2, O(d^2 m_j) each and O(d^3) over
 all j, so no more than one outcome's products are held at once.  Exact
 condition 1 is a block sum of |N_j|^2 and exact condition 2 a block
 mask.  The sampled traces cost O(samples d^2) for condition 2 and
-O(samples d m_k) per S outcome for condition 1 per outcome of R of
-multiplicity m_k > 1.  The commutator costs three d x d products (V* W, x and C* C)
+O(samples K_S d m_k) for condition 1 per outcome of R of multiplicity
+m_k > 1.  The commutator costs three d x d products (V* W, x and C* C)
 and one Hermitian eigenvalue solve, O(d^3).
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,

@@ -10,8 +10,8 @@ and ``--seed`` for sampled ``compat`` and ``demo``, ``--seed`` for
 ``measure --rule theta`` and ``constraint --random``) are also drawn
 inside its own branch, so a crash tied to one value on one subcommand
 is reached without an ``@example``.  File entries include values near
-the largest double (1e308) and subnormals (1e-320).  Numpy
-warnings are errors here, so finite input may not raise one either.
+the largest double (1e308) and subnormals (1e-320).  Numpy warnings are
+errors here, so finite input may not raise one either.
 """
 
 import io
