@@ -23,10 +23,13 @@ block: T = B for Lueders, the target basis for theta, and one eigenvector
 (m = 1) per branch for von Neumann.  The Lueders and theta branches go
 through one kernel, T (B* Z B) T*, computed from the blocks every time:
 nothing multiplies a state by a dense projector, and no d x d array is
-kept on an observable or a theta family.  Outcomes of one multiplicity
-(``Observable.groups``) are checked, and drawn, as one stack.  Only
-``make_theta_family`` checks target content: the random families are
-valid by construction.
+kept on an observable or a theta family.  Every family of per-outcome
+target blocks is a ``ThetaFamily``, whose constructor is the one count
+and shape check, and its content is judged by one rule, ``_defects``,
+with one stacked product per multiplicity (``Observable.groups``):
+``make_theta_family`` checks a caller's targets with it, and a von
+Neumann basis choice is read as such a family.  The random families are
+valid by construction and are not checked.
 
 Cost model: one branch costs O(d^2 m_k), for an outcome of multiplicity
 m_k; a Born weight Tr(B* Z B) costs the same and makes no d x d product.
@@ -51,7 +54,7 @@ from .errors import (
     InvalidState,
     SubspaceViolation,
 )
-from .linalg import DEFAULT_TOL, _columns, _haar_blocks, _rng, _sealed, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _columns, _haar_blocks, _rng, _sealed, dagger, freeze
 from .observables import Observable
 from .states import DensityOperator, SubensembleState, state_matrix
 
@@ -181,47 +184,14 @@ def normalize(state, floor: float = WEIGHT_FLOOR) -> DensityOperator:
     return DensityOperator(_sealed(m * (1.0 / tr)))
 
 
-def _validated_blocks(obs: Observable, blocks, tol: float, subspace_error) -> list:
-    """Read one block per outcome and check it is an orthonormal basis of
-    its eigenspace, with one stacked Gram check and one stacked subspace
-    check per multiplicity; a failed check names its worst outcome."""
-    if len(blocks) != obs.outcome_count:
-        raise BadBasis(
-            f"need one basis block per outcome ({obs.outcome_count}), got {len(blocks)}"
-        )
-    out = []
-    for i, (m, block) in enumerate(zip(obs.multiplicities, blocks)):
-        b = _columns(block, BadBasis)
-        if b.shape[0] != obs.dim:
-            raise BadBasis(f"outcome {i}: vectors live in dim {b.shape[0]}, expected {obs.dim}")
-        if b.shape[1] != m:
-            raise BadBasis(f"outcome {i}: {b.shape[1]} vectors for a multiplicity-{m} eigenvalue")
-        out.append(b)
-    gram_dev = np.zeros(len(out))
-    sub_dev = np.zeros(len(out))
-    for m, idx, _ in obs.groups:
-        b = np.stack([out[k] for k in idx])
-        src = np.stack([obs.basis[k] for k in idx])
-        gram_dev[idx] = np.abs(b.conj().swapaxes(1, 2) @ b - np.eye(m)).max(axis=(1, 2))
-        sub_dev[idx] = np.abs(b - src @ (src.conj().swapaxes(1, 2) @ b)).max(axis=(1, 2))
-    for dev, error, what in (
-        (gram_dev, BadBasis, "basis not orthonormal, residual"),
-        (sub_dev, subspace_error, "basis leaves its eigenvalue subspace by"),
-    ):
-        over = dev > tol
-        if over.any():
-            worst = int(np.argmax(np.where(over, dev, -1.0)))
-            raise error(f"outcome {worst}: {what} {dev[worst]:.3e}")
-    return out
-
-
 def von_neumann_aggregate(obs: Observable, z, basis_choice=None, tol: float = DEFAULT_TOL) -> DensityOperator:
     """Degeneracy-breaking update sum_s |psi_s><psi_s| Z |psi_s><psi_s|.
 
     ``basis_choice`` gives one orthonormal basis per eigenvalue subspace
     (default: the observable's stored basis); the choice matters exactly
     when some eigenvalue is degenerate.  The result is diagonal in the
-    chosen basis.  A caller-supplied basis is validated, not projected.
+    chosen basis.  A caller-supplied basis is read and checked as the
+    targets of a theta family (``make_theta_family``), not projected.
 
     With the chosen rays side by side as V, the sum is the dephasing
     V diag(V* Z V) V*, computed as two d x d x d products.
@@ -230,7 +200,7 @@ def von_neumann_aggregate(obs: Observable, z, basis_choice=None, tol: float = DE
     v = (
         obs.full_basis()
         if basis_choice is None
-        else np.hstack(_validated_blocks(obs, list(basis_choice), tol, BadBasis))
+        else np.hstack(make_theta_family(obs, basis_choice, tol).targets)
     )
     weights = np.einsum("ij,ij->j", v.conj(), zm @ v).real
     return DensityOperator(_sealed((v * weights) @ dagger(v)))
@@ -246,8 +216,9 @@ class ThetaFamily:
     Theta_k* Theta_k' = Theta_k' Theta_k* = delta_kk' P_k and
     Theta_k P_k' = delta_kk' Theta_k.  The dense Theta_k are built when
     asked for and not kept; the channels work from the blocks.
-    Construction checks the block shapes only; ``make_theta_family``
-    checks their content.
+    Construction is the one check of the block count and shapes;
+    ``residual()`` and ``make_theta_family`` read their content by one
+    rule, ``_defects``.
     """
 
     observable: Observable
@@ -258,9 +229,9 @@ class ThetaFamily:
         obs = self.observable
         if len(targets) != obs.outcome_count:
             raise BadBasis(f"need one target block per outcome ({obs.outcome_count}), got {len(targets)}")
-        for k, (t, m) in enumerate(zip(targets, obs.multiplicities)):
-            if t.shape != (obs.dim, m):
-                raise BadBasis(f"outcome {k}: target block has shape {t.shape}, expected {(obs.dim, m)}")
+        for k, (t, b) in enumerate(zip(targets, obs.basis)):
+            if t.shape != b.shape:
+                raise BadBasis(f"outcome {k}: target block has shape {t.shape}, expected {b.shape}")
         object.__setattr__(self, "targets", targets)
 
     @property
@@ -281,26 +252,51 @@ class ThetaFamily:
         return _sealed(self.targets[k] @ dagger(b))
 
     def residual(self) -> float:
-        """Worst deviation from the family's defining operator identities,
-        which hold iff the targets side by side, T, have T*T = I and V*T is
-        block diagonal in the eigenbasis V."""
-        t = np.hstack(self.targets)
-        lab = self.observable.labels
-        leak = (dagger(self.observable.full_basis()) @ t)[lab[:, None] != lab]
-        return max(max_abs(dagger(t) @ t - np.eye(self.dim)), max_abs(leak))
+        """The worst of ``_defects``: 0 up to rounding iff every target is
+        an orthonormal basis of its eigenspace, which is when the family's
+        operator identities hold; NaN if a target is not finite."""
+        return float(np.max(_defects(self)))
+
+
+def _defects(fam: ThetaFamily) -> tuple:
+    """(gram, leak): per outcome k, max|T_k* T_k - I| and max|T_k - B_k B_k* T_k|,
+    with one stacked product per multiplicity.
+
+    Read with floating-point warnings off, so an overflow reads as inf
+    (or NaN), which every check ``not dev <= tol`` rejects."""
+    obs = fam.observable
+    gram, leak = np.zeros(fam.outcome_count), np.zeros(fam.outcome_count)
+    with np.errstate(all="ignore"):
+        for m, idx, _ in obs.groups:
+            # np.array stacks blocks of one shape at half the call cost of np.stack
+            t = np.array([fam.targets[k] for k in idx.tolist()])
+            b = np.array([obs.basis[k] for k in idx.tolist()])
+            gram[idx] = np.abs(t.conj().swapaxes(1, 2) @ t - np.eye(m)).max(axis=(1, 2))
+            leak[idx] = np.abs(t - b @ (b.conj().swapaxes(1, 2) @ t)).max(axis=(1, 2))
+    return gram, leak
 
 
 def make_theta_family(obs: Observable, target_bases, tol: float = DEFAULT_TOL) -> ThetaFamily:
     """Build Theta_k = sum_s |theta_s><psi_s| from per-outcome target bases.
 
-    Each target block must hold exactly multiplicity(k) orthonormal
-    vectors lying inside the range of P_k; a vector with a component
-    outside its eigenspace raises SubspaceViolation.  Choosing the
-    observable's own basis reduces the family to plain projection,
-    Theta_k = P_k.
+    Each target block (read by ``linalg._columns``) must hold exactly
+    multiplicity(k) finite orthonormal vectors lying inside the range of
+    P_k, by ``_defects`` within ``tol``; a failed check names its worst
+    outcome, and a vector with a component outside its eigenspace raises
+    SubspaceViolation, a BadBasis.  Choosing the observable's own basis
+    reduces the family to plain projection, Theta_k = P_k.
     """
-    blocks = _validated_blocks(obs, list(target_bases), tol, SubspaceViolation)
-    return ThetaFamily(observable=obs, targets=tuple(blocks))
+    fam = ThetaFamily(obs, tuple(_columns(t, BadBasis) for t in target_bases))
+    for dev, error, what in zip(
+        _defects(fam),
+        (BadBasis, SubspaceViolation),
+        ("basis not orthonormal, residual", "basis leaves its eigenvalue subspace by"),
+    ):
+        over = ~(dev <= tol)
+        if over.any():
+            worst = int(np.argmax(np.where(over, dev, -1.0)))
+            raise error(f"outcome {worst}: {what} {dev[worst]:.3e}")
+    return fam
 
 
 def rotated_theta_family(obs: Observable, seed) -> ThetaFamily:
@@ -312,11 +308,7 @@ def rotated_theta_family(obs: Observable, seed) -> ThetaFamily:
     orthonormal and inside their eigenspace by construction.
     """
     units = _haar_blocks(obs.multiplicities, _rng(seed))
-    targets = [None] * obs.outcome_count
-    for _, idx, _ in obs.groups:
-        for k, t in zip(idx, np.stack([obs.basis[k] for k in idx]) @ np.stack([units[k] for k in idx])):
-            targets[k] = t
-    return ThetaFamily(observable=obs, targets=tuple(targets))
+    return ThetaFamily(obs, tuple(_sealed(b @ u) for b, u in zip(obs.basis, units)))
 
 
 def theta_select(fam: ThetaFamily, k: int, z) -> SubensembleState:

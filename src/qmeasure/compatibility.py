@@ -255,7 +255,7 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     weights = [(i, y, np.abs(y) ** 2) for i, y in enumerate(ys) if y is not None]
     sampled = [(i, y, w.max(axis=1), w.argmax(axis=1)) for i, y, w in weights]
     res = np.empty((len(ys), s.outcome_count, kr, kr))
-    state = np.zeros(res.shape, dtype=int)
+    state = np.zeros(res.shape, dtype=int) if sampled else None  # exact sets have no witness state
     for j, (lo, w) in enumerate(zip(s.offsets, s.basis)):
         n = vu[:, lo : lo + w.shape[1]] @ wt[lo : lo + w.shape[1]]
         # |N_j|^2 summed over the rows of each l block (one row each when R is simple)
@@ -280,9 +280,9 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
                 res[i, j, ks], state[i, j, ks] = norms.max(axis=2), norms.argmax(axis=2)
     res[:, :, np.arange(kr), np.arange(kr)] = -1.0
     out = []
-    for zs, worst, where in zip(probe_sets, res, state):
+    for p, (zs, worst) in enumerate(zip(probe_sets, res)):
         j, k, l = _first_max(worst, "condition 1")
-        i = None if zs is None else int(where[j, k, l])
+        i = None if zs is None else int(state[p, j, k, l])
         out.append(_result(float(worst[j, k, l]), (i, k, j, l), zs, tol))
     return out
 

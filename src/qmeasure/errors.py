@@ -112,8 +112,9 @@ class BadBasis(ValidationError):
     """Supplied basis is not orthonormal or does not fit its eigenspace."""
 
 
-class SubspaceViolation(ValidationError):
-    """A target vector has a component outside its degeneracy subspace."""
+class SubspaceViolation(BadBasis):
+    """A supplied basis has a vector with a component outside its
+    eigenspace: the BadBasis that names the subspace check."""
 
 
 class BadDim(ValidationError):

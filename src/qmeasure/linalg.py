@@ -225,8 +225,8 @@ def cluster_eigenvalues(values, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> lis
 def _columns(vectors, error=BadArgument) -> np.ndarray:
     """Read vectors as the columns of one array, by one rule: a 2-D ndarray
     is its columns, a 1-D array (or list of numbers) is one vector, and any
-    other sequence is a list of vectors.  Anything else, or vectors with
-    no components, raises ``error``."""
+    other sequence is a list of vectors.  Anything else, vectors with no
+    components, or an entry that is NaN or inf raises ``error``."""
     try:
         if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
             cols = np.asarray(vectors, dtype=complex)
@@ -238,6 +238,8 @@ def _columns(vectors, error=BadArgument) -> np.ndarray:
         raise error("expected a 2-D array of columns, one vector or a sequence of vectors") from None
     if cols.shape[0] == 0:
         raise error("need at least one vector with at least one component")
+    if np.count_nonzero(np.isfinite(cols)) < cols.size:  # half the cost of .all() on a short vector
+        raise error("vectors contain non-finite entries")
     return cols
 
 
@@ -250,9 +252,9 @@ def projector_from_basis(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     Gram matrix deviates from the identity by more than ``tol``.
     """
     v = _columns(vectors)
-    gram = dagger(v) @ v
-    dev = max_abs(gram - np.eye(v.shape[1]))
-    if dev > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed Gram reads inf and fails
+        dev = max_abs(dagger(v) @ v - np.eye(v.shape[1]))
+    if not dev <= tol:
         raise NotOrthonormal(f"basis Gram matrix deviates from identity by {dev:.3e}")
     return v @ dagger(v)
 

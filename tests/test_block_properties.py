@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmeasure.channels import ThetaFamily, rotated_theta_family
+from qmeasure.channels import ThetaFamily, make_theta_family, rotated_theta_family
 from qmeasure.compatibility import heisenberg_observable
 from qmeasure.errors import ValidationError
 from qmeasure.linalg import dagger, eig_hermitian, max_abs, random_unitary
@@ -174,6 +174,31 @@ def test_theta_residual_flags_targets_leaving_their_eigenspace(spec, leak, angle
     fam = ThetaFamily(observable=obs, targets=tuple(g @ t for t in obs.basis))
     assert fam.residual() > 1e-3
     assert dense_theta_residual(fam) > 1e-3
+
+
+@PROPERTY
+@given(spectra(max_dim=8), st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0), st.sampled_from(["noise", "inside"]))
+def test_make_theta_family_admits_what_residual_admits(spec, seed, exponent, kind):
+    # every target of a valid family moved by eps = tol 10^x, |x| <= 2, in
+    # a random direction or one inside its eigenspace: make_theta_family
+    # admits the family exactly when its residual is within tol
+    u, values = spec
+    obs = _observable(u, values)
+    rng = np.random.default_rng(seed)
+    eps = TOL * 10.0**exponent
+    targets = []
+    for t, b in zip(rotated_theta_family(obs, rng).targets, obs.basis):
+        g = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+        if kind == "inside":
+            g = b @ (dagger(b) @ g)
+        targets.append(t + eps * g / max_abs(g))
+    fam = ThetaFamily(observable=obs, targets=tuple(targets))
+    try:
+        make_theta_family(obs, fam.targets, TOL)
+    except ValidationError:
+        assert not fam.residual() <= TOL
+    else:
+        assert fam.residual() <= TOL
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qmeasure.errors import (
     DimMismatch,
     ImpossibleOutcome,
     InvalidState,
+    QMeasureError,
     SubspaceViolation,
 )
 from qmeasure.linalg import dagger, max_abs, random_unitary
@@ -384,6 +386,34 @@ class TestThetaFamily:
         fam = ThetaFamily(observable=OBS225, targets=OBS225.basis)
         assert fam.residual() <= 1e-15
         validate(theta_aggregate(fam, PSI3))
+
+
+def _first_block_with(entry):
+    """OBS225's basis choice with ``entry`` in place of the first component."""
+    block = np.eye(3)[:, :2].astype(complex)
+    block[0, 0] = entry
+    return [block, np.eye(3)[:, 2:]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_theta_family(OBS225, _first_block_with(np.nan)),
+        lambda: theta_select(make_theta_family(OBS225, _first_block_with(np.nan)), 0, PSI3),
+        lambda: von_neumann_aggregate(OBS225, PSI3, basis_choice=_first_block_with(np.inf)),
+        # finite, but its Gram overflows
+        lambda: make_theta_family(OBS225, _first_block_with(1e200)),
+    ],
+)
+def test_non_finite_targets_are_bad_bases(call):
+    # a target block or basis choice is read by linalg._columns, which
+    # refuses a non-finite entry, and judged by _defects, where an overflow
+    # reads inf: BadBasis (exit 3), never a NaN state or a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QMeasureError) as info:
+            call()
+    assert isinstance(info.value, BadBasis) and info.value.exit_code == 3
 
 
 def test_channels_keep_no_dense_arrays():

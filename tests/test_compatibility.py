@@ -158,6 +158,25 @@ class TestConditions:
         # together, up to 2^16 entries a batch, read 4.4 and 3.6
         assert peak < 3 * one_outcome
 
+    def test_exact_condition1_keeps_no_witness_states(self):
+        # d = 64, simple R and S: the exact route holds the residual table,
+        # 8 K_S K_R^2 bytes, and no table of witness states, which only a
+        # sampled probe set has
+        d = 64
+        u, w = random_unitary(d, 7), random_unitary(d, 8)
+        r = spectral_decompose(u @ np.diag(np.arange(d) - 3.0) @ dagger(u))
+        s = spectral_decompose(w @ np.diag(np.arange(d) + 0.5) @ dagger(w))
+        table = 8 * s.outcome_count * r.outcome_count**2
+        condition1_holds(r, s, "exact")  # warm up numpy's own caches
+        tracemalloc.start()
+        try:
+            condition1_holds(r, s, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # reads 1.33 tables; an int64 state table beside it read 2.33
+        assert peak < 1.6 * table
+
 
 class TestVerdictBand:
     def test_bands(self):

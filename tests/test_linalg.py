@@ -408,6 +408,26 @@ def test_bad_arguments_are_library_errors(call):
     assert info.value.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    ("vectors", "error"),
+    [
+        ([np.nan, 0.0], BadArgument),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), BadArgument),
+        # finite, but the Gram overflows
+        ([[1.0, 0.0], [0.0, complex(1.5e308, 1.5e308)]], NotOrthonormal),
+        ([1e200, 0.0], NotOrthonormal),
+    ],
+)
+def test_non_finite_vectors_are_refused(vectors, error):
+    # a NaN or inf entry is refused when the vectors are read; a Gram that
+    # overflows reads inf and fails the check, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            projector_from_basis(vectors)
+    assert isinstance(info.value, QMeasureError) and info.value.exit_code == 3
+
+
 def _seeded_entry_points():
     """Every public draw that takes a seed, each as a function of the seed."""
     from qmeasure.channels import rotated_theta_family
