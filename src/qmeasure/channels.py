@@ -24,12 +24,12 @@ block: T = B for Lueders, the target basis for theta, and one eigenvector
 through one kernel, T (B* Z B) T*, computed from the blocks every time:
 nothing multiplies a state by a dense projector, and no d x d array is
 kept on an observable or a theta family.  Every family of per-outcome
-target blocks is a ``ThetaFamily``, whose constructor is the one count
-and shape check, and its content is judged by one rule, ``_defects``,
-with one stacked product per multiplicity (``Observable.groups``):
-``make_theta_family`` checks a caller's targets with it, and a von
-Neumann basis choice is read as such a family.  The random families are
-valid by construction and are not checked.
+target blocks is a ``ThetaFamily``, whose constructor is the one count,
+shape and finiteness check, and its content is judged by one rule,
+``_defects``, with one stacked product per multiplicity
+(``Observable.groups``): ``make_theta_family`` checks a caller's targets
+with it, and a von Neumann basis choice is read as such a family.  The
+random families are valid by construction and are not checked.
 
 Cost model: one branch costs O(d^2 m_k), for an outcome of multiplicity
 m_k; a Born weight Tr(B* Z B) costs the same and makes no d x d product.
@@ -216,7 +216,8 @@ class ThetaFamily:
     Theta_k* Theta_k' = Theta_k' Theta_k* = delta_kk' P_k and
     Theta_k P_k' = delta_kk' Theta_k.  The dense Theta_k are built when
     asked for and not kept; the channels work from the blocks.
-    Construction is the one check of the block count and shapes;
+    Construction is the one check of the block count, the shapes and
+    finite entries (a non-finite target is a BadBasis);
     ``residual()`` and ``make_theta_family`` read their content by one
     rule, ``_defects``.
     """
@@ -232,6 +233,8 @@ class ThetaFamily:
         for k, (t, b) in enumerate(zip(targets, obs.basis)):
             if t.shape != b.shape:
                 raise BadBasis(f"outcome {k}: target block has shape {t.shape}, expected {b.shape}")
+            if np.count_nonzero(np.isfinite(t)) < t.size:  # half the cost of .all() on a small block
+                raise BadBasis(f"outcome {k}: target block contains non-finite entries")
         object.__setattr__(self, "targets", targets)
 
     @property
@@ -254,7 +257,7 @@ class ThetaFamily:
     def residual(self) -> float:
         """The worst of ``_defects``: 0 up to rounding iff every target is
         an orthonormal basis of its eigenspace, which is when the family's
-        operator identities hold; NaN if a target is not finite."""
+        operator identities hold."""
         return float(np.max(_defects(self)))
 
 

@@ -72,10 +72,11 @@ from .errors import (
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
-    _cluster_ranges,
     _eig_hermitian_stack,
+    _gap_ranges,
     _haar_blocks,
     _rng,
+    _sealed,
     as_matrix,
     commutes,
     dagger,
@@ -154,19 +155,34 @@ def sequential_select(r: Observable, k: int, s: Observable, j: int, z) -> Subens
     return lueders_select(s, j, lueders_select(r, k, z))
 
 
+# the most recent batch drawn for an int seed, ((dim, samples, seed), batch), or None
+_kept = None
+
+
 def _random_state_batch(dim: int, samples: int, seed: int) -> np.ndarray:
-    """Seeded batch of Haar-random pure states z, one unit vector per row (samples, dim).
+    """Seeded batch of Haar-random pure states z, one unit vector per row (samples, dim), read-only.
 
     Every sampled residual is linear in the state, Tr(M Z), so its
     maximum over all states is reached at a pure state: mixed states
     would add cost and no detection power.  A draw numpy refuses is a BadArgument.
+    The batch is a pure function of (dim, samples, seed), so the most
+    recent one drawn for an int seed is kept, one batch and no more, and
+    a call with the same key gets it back; a Generator seed draws fresh.
     """
+    global _kept
+    key = (dim, samples, seed) if type(seed) is int and type(samples) is int else None
+    kept = _kept
+    if key is not None and kept is not None and kept[0] == key:
+        return kept[1]
     rng = _rng(seed)
     try:
         g = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
     except (MemoryError, ValueError):
         raise BadArgument(f"cannot draw {samples} random states of dim {dim}") from None
-    return g / np.linalg.norm(g, axis=1)[:, None]
+    batch = _sealed(g / np.linalg.norm(g, axis=1)[:, None])
+    if key is not None:
+        _kept = (key, batch)
+    return batch
 
 
 def _states(mode: str, dim: int, samples: int, seed: int) -> Optional[np.ndarray]:
@@ -218,20 +234,23 @@ def _conditions(r, r_targets, s, s_targets, probe_sets, tol, conditions=(1, 2)) 
     X y_k), never joined with another, so a route gives the same bits
     whichever routes run beside it.
     """
-    v = r.full_basis()
-    vh, wh = dagger(v), dagger(s.full_basis())
-    wt = wh @ np.hstack(r_targets)
+    v, w = r.full_basis(), s.full_basis()
+    vh, wh = dagger(v), dagger(w)
+    # an observable's own blocks side by side are its full basis, already formed
+    own = r_targets is r.basis
+    wt = wh @ (v if own else np.hstack(r_targets))
     # the states y = V* z of each sampled set as columns (d, samples)
     ys = [None if zs is None else vh @ zs.T for zs in probe_sets]
     out = {}
     if 1 in conditions:
-        out[1] = _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol)
+        vu = vh @ (w if s_targets is s.basis else np.hstack(s_targets))
+        out[1] = _read_condition1(vu, wt, r, s, probe_sets, ys, tol)
     if 2 in conditions:
-        out[2] = _read_condition2(v, wh, wt, r, s, probe_sets, ys, tol)
+        out[2] = _read_condition2(v, wh, wt, own, r, s, probe_sets, ys, tol)
     return out
 
 
-def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
+def _read_condition1(vu, wt, r, s, probe_sets, ys, tol) -> list:
     """Condition 1 per probe set, one S outcome j at a time, each overlap N_j formed once.
 
     The (l, k) block X of N_j = (V* U_j)(W_j* T) is V_l* B_j T_k, so
@@ -241,19 +260,28 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     of y = V* z.  For a rank-1 outcome k that is |X|^2 |y_k|^2, so the
     max over states comes before the product; outcomes of multiplicity
     m > 1 form N_j[:, cols_k] @ y_k, O(d m) a state, outcomes of one
-    multiplicity in one stacked product.  So the temporaries are those of
-    one S outcome: N_j and, for m > 1, X y_k per state and outcome k.
-    The witness is the first triple in scan order (j, then k, then l)
-    whose residual is within a relative 1e-12 of the worst, so rounding
-    alone does not move it; condition 2 scans j.
+    multiplicity in one stacked product.  What a state batch contributes
+    apart from N_j (the peak of |y_k|^2 and where it is, or the blocks
+    y_k) is read once, before the loop over j.  So the temporaries are
+    those of one S outcome: N_j and, for m > 1, X y_k per state and
+    outcome k.  The witness is the first triple in scan order (j, then
+    k, then l) whose residual is within a relative 1e-12 of the worst, so
+    rounding alone does not move it; condition 2 scans j.
     """
-    d, kr = len(vh), r.outcome_count
+    d, kr = r.dim, r.outcome_count
     if kr < 2:
         return [_result(0.0, None, zs, tol) for zs in probe_sets]
-    vu = vh @ np.hstack(s_targets)
     exact = [i for i, y in enumerate(ys) if y is None]
     weights = [(i, y, np.abs(y) ** 2) for i, y in enumerate(ys) if y is not None]
     sampled = [(i, y, w.max(axis=1), w.argmax(axis=1)) for i, y, w in weights]
+    # per multiplicity group of R, its columns and what each sampled set reads there
+    # for every j: (i, peak, state) at the rank-1 columns c, (i, y_k) of each block
+    groups = [
+        (m, ks, cols[:, 0], [(i, peak[cols[:, 0]], best[cols[:, 0], None]) for i, _, peak, best in sampled])
+        if m == 1
+        else (m, ks, cols, [(i, y[cols]) for i, y, _, _ in sampled])
+        for m, ks, cols in (r.groups if sampled else ())
+    ]
     res = np.empty((len(ys), s.outcome_count, kr, kr))
     state = np.zeros(res.shape, dtype=int) if sampled else None  # exact sets have no witness state
     for j, (lo, w) in enumerate(zip(s.offsets, s.basis)):
@@ -267,16 +295,15 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
             traces = np.add.reduceat(rows, r.offsets, axis=1) if kr < d else rows
             for i in exact:
                 res[i, j] = traces.T
-        for m, ks, cols in r.groups if sampled else ():
+        for m, ks, cols, reads in groups:
             if m == 1:
-                c = cols[:, 0]
-                for i, _, peak, best in sampled:
-                    res[i, j, ks] = (rows[:, c] * peak[c]).T
-                    state[i, j, ks] = best[c, None]
+                for i, peak, best in reads:
+                    res[i, j, ks] = (rows[:, cols] * peak).T
+                    state[i, j, ks] = best
                 continue
             x = np.moveaxis(n[:, cols], 1, 0)
-            for i, y, _, _ in sampled:
-                norms = np.add.reduceat(np.abs(x @ y[cols]) ** 2, r.offsets, axis=1)
+            for i, yk in reads:
+                norms = np.add.reduceat(np.abs(x @ yk) ** 2, r.offsets, axis=1)
                 res[i, j, ks], state[i, j, ks] = norms.max(axis=2), norms.argmax(axis=2)
     res[:, :, np.arange(kr), np.arange(kr)] = -1.0
     out = []
@@ -287,27 +314,36 @@ def _read_condition1(vh, wt, r, s, s_targets, probe_sets, ys, tol) -> list:
     return out
 
 
-def _read_condition2(v, wh, wt, r, s, probe_sets, ys, tol) -> list:
+def _read_condition2(v, wh, wt, own, r, s, probe_sets, ys, tol) -> list:
     """Condition 2 per probe set, from the overlap W* T formed once.
 
     In R's frame the defect M_j = sum_k A_k* Pt_j A_k - Pt_j is
     V* M_j V = blockmask(c_j* c_j) - C_j C_j*, with c_j and C_j* the
-    j rows of W* T and of W* V.  Exact mode takes the worst ||M_j||_F
-    over j, which the frame leaves unchanged; sampled mode the worst
-    |Tr(M_j Z)| over the pure states Z = z z*.  With y = V* z that
-    trace is sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2, O(samples d^2)
-    past the overlap W* T; for rank-1 outcomes k the sum is one product
+    j rows of W* T and of W* V.  When ``own`` (the targets are R's own
+    blocks) W* T is W* V, c_j = C_j*, and V* M_j V is minus the part of
+    C_j C_j* off R's diagonal blocks, one d x d product per j.  Exact
+    mode takes the worst ||M_j||_F over j, which the frame leaves
+    unchanged; sampled mode the worst |Tr(M_j Z)| over the pure states
+    Z = z z*.  With y = V* z that trace is
+    sum_k ||W_j* T_k y_k||^2 - ||W_j* z||^2, O(samples d^2) past the
+    overlap W* T; for rank-1 outcomes k the sum is one product
     |W* T|^2 @ |y|^2.
     """
     out = []
     for zs, y in zip(probe_sets, ys):
         if zs is None:
             mask = r.labels[:, None] == r.labels
-            wv = wh @ v
+            off, wv = (~mask, None) if own else (None, wh @ v)
             res = []
             for lo, w in zip(s.offsets, s.basis):
-                c, cv = wt[lo : lo + w.shape[1]], wv[lo : lo + w.shape[1]]
-                res.append(np.linalg.norm((dagger(c) @ c) * mask - dagger(cv) @ cv))
+                c = wt[lo : lo + w.shape[1]]
+                if own:
+                    # c_j = C_j*: the block-diagonal part cancels to the bit, so the
+                    # defect is minus the off-block part of c_j* c_j, one product
+                    res.append(np.linalg.norm((dagger(c) @ c) * off))
+                else:
+                    cv = wv[lo : lo + w.shape[1]]
+                    res.append(np.linalg.norm((dagger(c) @ c) * mask - dagger(cv) @ cv))
             res, state = np.array(res), None
         else:
             # per row of W* and per state: sum_k |W* T_k y_k|^2 - |W* z|^2
@@ -404,7 +440,7 @@ def heisenberg_observable(r: Observable, u, tol: float = DEFAULT_TOL) -> Observa
     if not dev <= tol:
         raise NotUnitary(f"U deviates from unitarity by {dev:.3e}")
     ud = dagger(um)
-    pairs = tuple(SpectralPair(p.eigenvalue, ud @ p.basis) for p in r.pairs)
+    pairs = tuple(SpectralPair(p.eigenvalue, _sealed(ud @ p.basis)) for p in r.pairs)
     return Observable(dim=r.dim, pairs=pairs)
 
 
@@ -576,7 +612,7 @@ def sector_rotated_family(
         inside = (bw * s_values) @ bw.conj().swapaxes(1, 2)
         values, vectors = _eig_hermitian_stack(inside, tol)
         for k, vals, vecs in zip(ks, values, vectors):
-            sectors[k] = [vecs[:, a:b] for a, b in _cluster_ranges(vals, cluster_tol)]
+            sectors[k] = [vecs[:, a:b] for a, b in _gap_ranges(vals, cluster_tol)]
     # one random_unitary per sector, outcome by outcome, bit for bit
     units = iter(_haar_blocks([sub.shape[1] for subs in sectors for sub in subs], rng))
     targets = []

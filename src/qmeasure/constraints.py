@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadDim, ConstraintViolatedOnInput, DimMismatch, ValidationError
-from .linalg import DEFAULT_TOL, _relative_commutator, _unit, as_matrix, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _relative_commutator, _solve, _unit, as_matrix, dagger, freeze, max_abs
 from .channels import lueders_select
 from .observables import Observable, _commutator_norm
 from .states import DensityOperator, _gaussian, state_matrix
@@ -141,7 +141,7 @@ def _kernel_basis(ops, tol: float) -> np.ndarray:
     whose singular value is at most tol, the bound ``_violation`` applies:
     every state B Y B* has max|N^ Z| <= tol.
     """
-    _, sigma, vh = np.linalg.svd(np.vstack(ops), full_matrices=False)
+    _, sigma, vh = _solve("svd", np.vstack(ops), full_matrices=False)
     return dagger(vh[sigma <= tol])
 
 

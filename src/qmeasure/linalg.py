@@ -170,13 +170,19 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return half
 
 
+def _solve(solver: str, *args, **kwargs):
+    """``numpy.linalg.<solver>(*args, **kwargs)``, the one way the library calls a
+    numpy solver: its LinAlgError is a NoConvergence."""
+    try:
+        return getattr(np.linalg, solver)(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"{'eigensolver' if solver.startswith('eig') else solver} failed: {exc}") from exc
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and raw eigenvectors of the Hermitian part of
     ``a``, a matrix or a stack of them."""
-    try:
-        values, vectors = np.linalg.eigh(_hermitian_part(a))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    values, vectors = _solve("eigh", _hermitian_part(a))
     if not np.isfinite(values).all():
         raise ContractError("eigenvalues overflow double precision")
     return np.asarray(values, dtype=float), vectors
@@ -193,17 +199,13 @@ def _eig_hermitian_stack(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "m
     return values, fixed.reshape(m, *vectors.shape[:-2], m).swapaxes(0, -2)
 
 
-def _cluster_ranges(values, cluster_tol: float) -> list:
-    """(start, stop) of each group of ``cluster_eigenvalues``."""
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1:
-        raise BadArgument("values must be one-dimensional")
+def _gap_ranges(vals: np.ndarray, cluster_tol: float) -> list:
+    """(start, stop) of each group of ``cluster_eigenvalues`` in a 1-D float array
+    read as ascending, such as ``eigh``'s values: the gap rule alone, no input checks."""
     # a gap between values of opposite sign near the largest double is
     # inf, which is a gap like any other
     with np.errstate(over="ignore"):
         gaps = np.diff(vals)
-    if (gaps < 0).any():
-        raise BadArgument("values must be sorted ascending")
     gap_tol = cluster_tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
     # ~(<=) rather than >, so that a NaN gap starts a new group
     bounds = [0, *(np.flatnonzero(~(gaps <= gap_tol)) + 1).tolist(), vals.size]
@@ -219,7 +221,13 @@ def cluster_eigenvalues(values, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> lis
     largest magnitude is at least 1 leaves its clusters as they are.  The
     returned groups are disjoint, cover every index, and preserve order.
     """
-    return [list(range(a, b)) for a, b in _cluster_ranges(values, cluster_tol)]
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1:
+        raise BadArgument("values must be one-dimensional")
+    # values[1:] < values[:-1] rather than a gap below 0, which overflows near the largest double
+    if (vals[1:] < vals[:-1]).any():
+        raise BadArgument("values must be sorted ascending")
+    return [list(range(a, b)) for a, b in _gap_ranges(vals, cluster_tol)]
 
 
 def _columns(vectors, error=BadArgument) -> np.ndarray:
@@ -325,7 +333,7 @@ def _haar_blocks(sizes, rng: "np.random.Generator") -> list:
             # a Haar phase without a QR, from the same draws
             units = g / np.abs(g)
         else:
-            q, r = np.linalg.qr(g)
+            q, r = _solve("qr", g)
             d = np.diagonal(r, axis1=-2, axis2=-1)
             units = q * (d / np.abs(d))[..., None, :]
         for i, u in zip(idx, units):

@@ -24,14 +24,14 @@ from .errors import (
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
-    _cluster_ranges,
     _eig_hermitian_stack,
+    _gap_ranges,
     _groups,
     _sealed,
+    _solve,
     _unit,
     as_matrix,
     dagger,
-    eig_hermitian,
     freeze,
     max_abs,
     require_same_dim,
@@ -57,7 +57,10 @@ class SpectralPair:
     basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", freeze(np.asarray(self.basis, dtype=complex)))
+        b = self.basis
+        # a sealed complex array, as the library builds them, is taken as it is
+        if type(b) is not np.ndarray or b.dtype != complex or b.flags.writeable:
+            object.__setattr__(self, "basis", freeze(np.asarray(b, dtype=complex)))
 
     @property
     def multiplicity(self) -> int:
@@ -146,20 +149,22 @@ def spectral_decompose(m, cluster_tol: float = DEFAULT_CLUSTER_TOL, tol: float =
     eigenbasis from ``eig_hermitian``, and outputs are reproducible bit for
     bit.
     """
-    eigsys = eig_hermitian(m, tol)
-    vals, vecs = eigsys.values, eigsys.vectors
+    vals, vecs = _eig_hermitian_stack(as_matrix(m), tol)
+    listed = vals.tolist()
     pairs = tuple(
-        SpectralPair(float(vals[a]) if b - a == 1 else _mean(vals[a:b]), _sealed(vecs[:, a:b].copy()))
-        for a, b in _cluster_ranges(vals, cluster_tol)
+        SpectralPair(listed[a] if b - a == 1 else _mean(vals[a:b]), _sealed(vecs[:, a:b].copy()))
+        for a, b in _gap_ranges(vals, cluster_tol)
     )
-    return Observable(dim=eigsys.dim, pairs=pairs)
+    return Observable(dim=len(listed), pairs=pairs)
 
 
 def _mean(values: np.ndarray) -> float:
-    """np.mean of an ascending cluster, or the sum of value / count where the sum could overflow."""
-    if max(-values[0], values[-1]) <= sys.float_info.max / len(values):
-        return float(np.mean(values))
-    return float(np.sum(values / len(values)))
+    """np.mean of an ascending cluster, in its bits float(sum) / count, or the sum of
+    value / count where the sum could overflow."""
+    n = len(values)
+    if max(-values[0], values[-1]) <= sys.float_info.max / n:
+        return float(values.sum()) / n
+    return float(np.sum(values / n))
 
 
 def observable_from_pairs(pairs, tol: float = DEFAULT_TOL) -> Observable:
@@ -223,7 +228,7 @@ def _commutator_norm(obs: Observable, x: np.ndarray) -> float:
     """
     r = _unit_spectrum(obs)
     c = (r[:, None] - r) * x
-    return float(np.sqrt(max(np.linalg.eigvalsh(dagger(c) @ c)[-1], 0.0)))
+    return float(np.sqrt(max(_solve("eigvalsh", dagger(c) @ c)[-1], 0.0)))
 
 
 def is_function_refinement(fine: Observable, coarse: Observable, tol: float = DEFAULT_TOL) -> bool:

@@ -7,14 +7,13 @@ import numpy as np
 from .errors import (
     BadRank,
     DimMismatch,
-    NoConvergence,
     NotHermitian,
     NotNormalized,
     NotPositive,
     WeightSum,
     ZeroVector,
 )
-from .linalg import DEFAULT_TOL, _hermitian_part, _rng, as_matrix, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _hermitian_part, _rng, _solve, as_matrix, dagger, freeze, max_abs
 
 __all__ = [
     "DensityOperator",
@@ -142,16 +141,13 @@ def validate(z, tol: float = DEFAULT_TOL) -> DensityOperator:
     or NotNormalized (with the trace).  Positivity is judged by the
     eigenvalue floor so the violation magnitude is part of the error.
     """
-    # as_matrix also covers wrapped states, which state_matrix passes through unchecked
-    m = as_matrix(state_matrix(z), "state")
+    # one as_matrix read, also of a wrapped state, which state_matrix passes through unchecked
+    m = as_matrix(z.matrix if isinstance(z, (DensityOperator, SubensembleState)) else z, "state")
     with np.errstate(over="ignore"):  # near the largest double this reads inf, and fails
         dev = max_abs(m - dagger(m))
     if dev > tol:
         raise NotHermitian(f"state deviates from its adjoint by {dev:.3e}")
-    try:
-        lowest = float(np.linalg.eigvalsh(_hermitian_part(m))[0])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    lowest = float(_solve("eigvalsh", _hermitian_part(m))[0])
     if not lowest >= -tol:
         raise NotPositive(f"most negative eigenvalue {lowest!r}")
     with np.errstate(over="ignore"):  # a positive diagonal sums to inf at worst, never NaN

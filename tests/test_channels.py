@@ -416,6 +416,18 @@ def test_non_finite_targets_are_bad_bases(call):
     assert isinstance(info.value, BadBasis) and info.value.exit_code == 3
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("outcome", [0, 1])
+def test_direct_theta_family_refuses_non_finite_targets(entry, outcome):
+    # built directly, not by make_theta_family: the constructor is the one
+    # check a family passes, so a NaN target never reaches residual() or a
+    # selected state
+    targets = [np.array(b) for b in OBS225.basis]
+    targets[outcome][0, 0] = entry
+    with pytest.raises(BadBasis, match=f"outcome {outcome}: target block contains non-finite entries"):
+        ThetaFamily(OBS225, tuple(targets))
+
+
 def test_channels_keep_no_dense_arrays():
     # the channels work from the basis blocks and keep nothing d x d on
     # the observable or the theta family; reading the projectors builds

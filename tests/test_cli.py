@@ -617,6 +617,16 @@ class TestExitCodes:
         assert err.startswith("error: VerdictDisagreement:")
 
 
+    def test_solver_failure_is_4(self, put, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = invoke(["compat", "--r", put("r.txt", SZ), "--s", put("s.txt", SX)])
+        assert (code, out) == (4, "")
+        assert err == "error: NoConvergence: eigensolver failed: did not converge\n"
+
+
 class TestDemoCommand:
     def test_default_run_all_green(self):
         code, out, _ = invoke(["demo"])

@@ -1,8 +1,10 @@
 """Compatibility conditions, the lemma, frame changes, and theta variants."""
 
+import gc
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -39,12 +41,13 @@ from qmeasure.config import RunConfig
 from qmeasure.errors import (
     BadArgument,
     ContractError,
+    NoConvergence,
     NotPositive,
     NotUnitary,
     ValidationError,
     VerdictDisagreement,
 )
-from qmeasure.linalg import commutes, dagger, max_abs, random_unitary
+from qmeasure.linalg import _rng, commutes, dagger, max_abs, random_unitary
 from qmeasure.observables import Observable, SpectralPair, reconstruct, spectral_decompose
 from qmeasure.states import from_pure, random_density
 
@@ -562,3 +565,68 @@ def test_verdicts_survive_rescaling_by_1e8(seed):
     assert big.outcome_count == r.outcome_count
     rep = compat_report(big, s)
     assert (rep.verdict_condition1, rep.verdict_condition2, rep.verdict_commute) == (True, True, True)
+
+
+class TestKeptDraw:
+    """The seeded probe batch is a pure function of (dim, samples, seed):
+    the most recent one drawn for an int seed is kept and handed back."""
+
+    @staticmethod
+    def fresh(dim, samples, seed):
+        rng = _rng(seed)
+        g = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
+        return g / np.linalg.norm(g, axis=1)[:, None]
+
+    def test_kept_batch_is_a_fresh_draw_and_read_only(self):
+        first = compatibility._random_state_batch(8, 10, 3)
+        again = compatibility._random_state_batch(8, 10, 3)
+        assert again is first
+        assert np.array_equal(again, self.fresh(8, 10, 3))
+        assert not again.flags.writeable
+
+    def test_generator_seed_draws_fresh_and_keeps_nothing(self):
+        kept = compatibility._random_state_batch(8, 10, 3)
+        a = compatibility._random_state_batch(8, 10, np.random.default_rng(3))
+        b = compatibility._random_state_batch(8, 10, np.random.default_rng(3))
+        assert a is not b and np.array_equal(a, b) and np.array_equal(a, kept)
+        assert compatibility._random_state_batch(8, 10, 3) is kept
+
+    @pytest.mark.parametrize("key", [(8, 10, 4), (8, 11, 3), (9, 10, 3)])
+    def test_new_key_draws_fresh(self, key):
+        kept = compatibility._random_state_batch(8, 10, 3)
+        other = compatibility._random_state_batch(*key)
+        assert other is not kept and np.array_equal(other, self.fresh(*key))
+        assert compatibility._random_state_batch(*key) is other
+
+    @pytest.mark.parametrize("key", [(8, -1, 3), (8, 10, -1)])
+    def test_refused_draw_is_not_kept(self, key):
+        kept = compatibility._random_state_batch(8, 10, 3)
+        with pytest.raises(BadArgument):
+            compatibility._random_state_batch(*key)
+        assert compatibility._random_state_batch(8, 10, 3) is kept
+
+    def test_at_most_one_batch_is_held(self):
+        first = weakref.ref(compatibility._random_state_batch(8, 10, 5))
+        gc.collect()
+        assert first() is not None  # kept while it is the most recent
+        compatibility._random_state_batch(8, 10, 6)
+        gc.collect()
+        assert first() is None
+
+
+class TestSolverFailures:
+    """A numpy solver that fails is a NoConvergence (exit 4), never a bare LinAlgError."""
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    def test_compat_report(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", self.fail)
+        with pytest.raises(NoConvergence, match="eigensolver failed"):
+            compat_report(R4, S4)
+
+    def test_seeded_unitary(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", self.fail)
+        with pytest.raises(NoConvergence, match="qr failed"):
+            random_unitary(3, 0)

@@ -19,6 +19,7 @@ from qmeasure.errors import (
     BadDim,
     ConstraintViolatedOnInput,
     DimMismatch,
+    NoConvergence,
     ValidationError,
 )
 from qmeasure.linalg import commutes, dagger, max_abs
@@ -273,3 +274,23 @@ def test_observable_commuting_with_swap_survives_all_branches():
     assert measurable_under(obs, N_SYM)
     z = random_constrained_density(N_SYM, 2)
     assert all(row.preserved for row in preserves_constraint(obs, N_SYM, z))
+
+
+class TestSolverFailures:
+    """A numpy solver that fails is a NoConvergence (exit 4), never a bare LinAlgError."""
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    def test_measurable_under_reads_the_commutator(self, monkeypatch):
+        # R_SYM is measurable, so the leak passes and the commutator route runs
+        assert measurable_under(R_SYM, N_SYM)
+        monkeypatch.setattr(np.linalg, "eigvalsh", self.fail)
+        with pytest.raises(NoConvergence, match="eigensolver failed"):
+            measurable_under(R_SYM, N_SYM)
+
+    def test_random_constrained_density(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", self.fail)
+        with pytest.raises(NoConvergence, match="svd failed"):
+            random_constrained_density(N_SYM, 0)

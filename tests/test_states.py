@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qmeasure import states
 from qmeasure.errors import (
     DimMismatch,
     NoConvergence,
@@ -14,6 +15,7 @@ from qmeasure.errors import (
     WeightSum,
     ZeroVector,
 )
+from qmeasure.linalg import as_matrix
 from qmeasure.states import (
     DensityOperator,
     SubensembleState,
@@ -123,6 +125,18 @@ class TestValidate:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):
             validate(np.eye(2) / 2.0)
+
+    def test_raw_array_is_coerced_once(self, monkeypatch):
+        calls = []
+
+        def counted(m, name="matrix"):
+            calls.append(name)
+            return as_matrix(m, name)
+
+        monkeypatch.setattr(states, "as_matrix", counted)
+        validate(np.eye(2) / 2.0)
+        validate(DensityOperator(np.eye(2) / 2.0))
+        assert calls == ["state", "state"]
 
     def test_off_diagonal_near_the_largest_double_is_not_positive(self):
         # eigenvalues 0.5 -+ 1e308: the Hermitian part must not overflow
