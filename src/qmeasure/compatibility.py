@@ -39,15 +39,20 @@ their largest magnitude: no entry overflows, and no frame or unit moves it.
 
 Cost.  One kernel, ``_conditions``, runs both conditions on every
 requested route in R's eigenbasis V, and no dense Kraus product is
-formed.  V*, W* T and V* U are formed once.  Condition 1 then reads one
-S outcome j at a time: its overlap N_j = (V* U_j)(W_j* T), a d x d
-product of inner size m_j, and |N_j|^2, O(d^2 m_j) each and O(d^3) over
-all j, so no more than one outcome's products are held at once.  Exact
-condition 1 is a block sum of |N_j|^2 and exact condition 2 a block
-mask.  The sampled traces cost O(samples d^2) for condition 2 and
+formed.  V*, W* T and V* U are formed once, and targets that are an
+observable's own blocks are its full basis, concatenated once.
+Condition 1 then reads one S outcome j at a time: its overlap
+N_j = (V* U_j)(W_j* T), a d x d product of inner size m_j, and
+|N_j|^2, O(d^2 m_j) each and O(d^3) over all j, so no more than one
+outcome's products are held at once.  Exact condition 1 is a block sum
+of |N_j|^2.  Exact condition 2 is one d x d product per S outcome for
+projector families, the off-block part of C_j C_j*, and two for theta
+targets.  The sampled traces cost O(samples d^2) for condition 2 and
 O(samples K_S d m_k) for condition 1 per outcome of R of multiplicity
-m_k > 1.  The commutator costs three d x d products (V* W, x and C* C)
-and one Hermitian eigenvalue solve, O(d^3).
+m_k > 1, and the state batch is drawn once per (dim, samples, seed):
+the most recent batch for an int seed is kept.  The commutator costs
+three d x d products (V* W, x and C* C) and one Hermitian eigenvalue
+solve, O(d^3).
 
 Verdicts use a guard band: residual below tol/10 counts as a clean hold,
 above 10*tol a clean failure, and anything between is reported as
@@ -230,6 +235,8 @@ def _conditions(r, r_targets, s, s_targets, probe_sets, tol, conditions=(1, 2)) 
 
     The products every route reads are formed once: V*, W* T, and for
     condition 1 V* U, the overlaps N_j = (V* U_j)(W_j* T) and |N_j|^2.
+    Targets that are the observable's own blocks (``r.basis`` or
+    ``s.basis`` itself) side by side are its full basis, not stacked again.
     Each state batch is read with its own products (y = V* z, W* z,
     X y_k), never joined with another, so a route gives the same bits
     whichever routes run beside it.

@@ -616,7 +616,6 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: VerdictDisagreement:")
 
-
     def test_solver_failure_is_4(self, put, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
