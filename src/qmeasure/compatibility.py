@@ -160,7 +160,7 @@ def sequential_select(r: Observable, k: int, s: Observable, j: int, z) -> Subens
     return lueders_select(s, j, lueders_select(r, k, z))
 
 
-# the most recent batch drawn for an int seed, ((dim, samples, seed), batch), or None
+# the most recent batch drawn for an int seed and sample count, ((dim, samples, seed), batch), or None
 _kept = None
 
 
