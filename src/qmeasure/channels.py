@@ -54,7 +54,7 @@ from .errors import (
     InvalidState,
     SubspaceViolation,
 )
-from .linalg import DEFAULT_TOL, _columns, _haar_blocks, _rng, _sealed, dagger, freeze
+from .linalg import DEFAULT_TOL, _as_sealed, _columns, _haar_blocks, _rng, _sealed, dagger
 from .observables import Observable
 from .states import DensityOperator, SubensembleState, state_matrix
 
@@ -112,9 +112,11 @@ def _branch(zm: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     Costs O(d^2 m), for every m, and never multiplies Z by a d x d
     operator.  The same inputs always give the same bits, which is what
     makes an aggregate the exact in-order sum of its selective branches.
+    The blocks are always the library's own ndarrays, so their adjoints
+    are ``conj().T`` without ``dagger``'s coercion.
     """
-    src_h = dagger(src)
-    dst_h = src_h if dst is src else dagger(dst)
+    src_h = src.conj().T
+    dst_h = src_h if dst is src else dst.conj().T
     return dst.dot(src_h.dot(zm.dot(src))).dot(dst_h)
 
 
@@ -174,9 +176,14 @@ def normalize(state, floor: float = WEIGHT_FLOOR) -> DensityOperator:
 
     Raises ImpossibleOutcome when the trace is below ``floor``: that
     branch had (numerically) zero probability and carries no state.
+    A branch's positive weight is its trace, read once when it was built;
+    a zero weight may hide a negative trace, which is read for the message.
     """
     m = state_matrix(state)
-    tr = float(np.trace(m).real)
+    if isinstance(state, SubensembleState) and state.weight > 0.0:
+        tr = state.weight  # max(0, trace), so the trace itself
+    else:
+        tr = float(np.trace(m).real)
     if tr < floor:
         raise ImpossibleOutcome(f"branch weight {tr!r} is below {floor:g}")
     # the reciprocal once: a complex array divided by a real scalar goes
@@ -226,7 +233,7 @@ class ThetaFamily:
     targets: tuple
 
     def __post_init__(self):
-        targets = tuple(freeze(np.asarray(t, dtype=complex)) for t in self.targets)
+        targets = tuple(_as_sealed(t) for t in self.targets)
         obs = self.observable
         if len(targets) != obs.outcome_count:
             raise BadBasis(f"need one target block per outcome ({obs.outcome_count}), got {len(targets)}")

@@ -204,7 +204,7 @@ def _result(worst: float, at, zs, tol: float) -> ConditionResult:
     state = None
     if at is not None and at[0] is not None:
         z = zs[at[0]]
-        state = DensityOperator(np.outer(z, z.conj()))
+        state = DensityOperator(_sealed(np.outer(z, z.conj())))
     witness = None if at is None else Witness(state, *at[1:])
     return ConditionResult(worst <= tol, worst, verdict_from_residual(worst, tol), witness)
 
@@ -308,7 +308,7 @@ def _read_condition1(vu, wt, r, s, probe_sets, ys, tol) -> list:
                     res[i, j, ks] = (rows[:, cols] * peak).T
                     state[i, j, ks] = best
                 continue
-            x = np.moveaxis(n[:, cols], 1, 0)
+            x = n[:, cols].transpose(1, 0, 2)
             for i, yk in reads:
                 norms = np.add.reduceat(np.abs(x @ yk) ** 2, r.offsets, axis=1)
                 res[i, j, ks], state[i, j, ks] = norms.max(axis=2), norms.argmax(axis=2)
@@ -360,7 +360,7 @@ def _read_condition2(v, wh, wt, own, r, s, probe_sets, ys, tol) -> list:
                     c = cols[:, 0]
                     shift += np.abs(wt[:, c]) ** 2 @ np.abs(y[c]) ** 2
                 else:
-                    shift += np.sum(np.abs(np.moveaxis(wt[:, cols], 1, 0) @ y[cols]) ** 2, axis=0)
+                    shift += np.sum(np.abs(wt[:, cols].transpose(1, 0, 2) @ y[cols]) ** 2, axis=0)
             traces = np.abs(np.add.reduceat(shift, s.offsets, axis=0))
             res, state = traces.max(axis=1), traces.argmax(axis=1)
         (j,) = _first_max(res, "condition 2")
@@ -627,7 +627,7 @@ def sector_rotated_family(
         rotation = np.zeros((block.shape[1], block.shape[1]), dtype=complex)
         for sub in subs:
             rotation += sub @ next(units) @ dagger(sub)
-        targets.append(block @ rotation)
+        targets.append(_sealed(block @ rotation))
     return ThetaFamily(observable=obs, targets=tuple(targets))
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadDim, ConstraintViolatedOnInput, DimMismatch, ValidationError
-from .linalg import DEFAULT_TOL, _relative_commutator, _solve, _unit, as_matrix, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _relative_commutator, _sealed, _solve, _unit, as_matrix, dagger, freeze, max_abs
 from .channels import lueders_select
 from .observables import Observable, _commutator_norm
 from .states import DensityOperator, _gaussian, state_matrix
@@ -229,4 +229,4 @@ def random_constrained_density(n, seed, rank: int | None = None, tol: float = DE
         raise ValidationError("constraint admits no states (kernel is trivial)")
     w = basis @ (dagger(basis) @ _gaussian(dim, dim if rank is None else rank, seed))
     z = w @ dagger(w)
-    return DensityOperator(z / np.trace(z).real)
+    return DensityOperator(_sealed(z / np.trace(z).real))

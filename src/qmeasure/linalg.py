@@ -55,6 +55,16 @@ def _sealed(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_sealed(a) -> np.ndarray:
+    """``freeze(np.asarray(a, dtype=complex))``, the one trust rule of the
+    wrappers: a sealed complex ndarray, as the library builds them, is
+    returned as it is, without those calls; anything else is coerced and
+    frozen, and a caller's writeable array is copied."""
+    if type(a) is np.ndarray and a.dtype == complex and not a.flags.writeable:
+        return a
+    return freeze(np.asarray(a, dtype=complex))
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square complex matrix: BadArgument if it is not
     square, is empty, or has an entry that is NaN or inf or whose modulus
@@ -327,7 +337,11 @@ def _haar_blocks(sizes, rng: "np.random.Generator") -> list:
     draws = rng.standard_normal(start[-1])
     out = [None] * (len(start) - 1)
     for m, idx in _groups(sizes).items():
-        x = np.stack([draws[start[i] : start[i + 1]] for i in idx]).reshape(-1, 2, m, m)
+        if idx[-1] - idx[0] == len(idx) - 1:
+            # consecutive outcomes (every simple spectrum): one view of the draw
+            x = draws[start[idx[0]] : start[idx[-1] + 1]].reshape(-1, 2, m, m)
+        else:
+            x = np.stack([draws[start[i] : start[i + 1]] for i in idx]).reshape(-1, 2, m, m)
         g = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
         if m == 1:
             # a Haar phase without a QR, from the same draws

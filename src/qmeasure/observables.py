@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
+    _as_sealed,
     _eig_hermitian_stack,
     _gap_ranges,
     _groups,
@@ -32,7 +33,6 @@ from .linalg import (
     _unit,
     as_matrix,
     dagger,
-    freeze,
     max_abs,
     require_same_dim,
 )
@@ -57,10 +57,7 @@ class SpectralPair:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = self.basis
-        # a sealed complex array, as the library builds them, is taken as it is
-        if type(b) is not np.ndarray or b.dtype != complex or b.flags.writeable:
-            object.__setattr__(self, "basis", freeze(np.asarray(b, dtype=complex)))
+        object.__setattr__(self, "basis", _as_sealed(self.basis))
 
     @property
     def multiplicity(self) -> int:

@@ -1,10 +1,17 @@
-"""Density operators: validated mixed states, pure states, seeded random states."""
+"""Density operators: validated mixed states, pure states, seeded random states.
+
+The wrappers follow one trust rule (``linalg._as_sealed``): a sealed
+complex ndarray, as the library builds and seals every array it hands
+them, is taken as it is; any other input is coerced to complex and
+frozen, so a caller's writeable array is copied and never aliased.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BadArgument,
     BadRank,
     DimMismatch,
     NotHermitian,
@@ -13,7 +20,7 @@ from .errors import (
     WeightSum,
     ZeroVector,
 )
-from .linalg import DEFAULT_TOL, _hermitian_part, _rng, _solve, as_matrix, dagger, freeze, max_abs
+from .linalg import DEFAULT_TOL, _as_sealed, _hermitian_part, _rng, _sealed, _solve, as_matrix, dagger, max_abs
 
 __all__ = [
     "DensityOperator",
@@ -36,7 +43,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", freeze(np.asarray(self.matrix, dtype=complex)))
+        object.__setattr__(self, "matrix", _as_sealed(self.matrix))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -47,7 +54,7 @@ class DensityOperator:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self.matrix.trace().real)
 
     def purity(self) -> float:
         """Tr(Z^2); 1 for pure states, 1/dim for the maximally mixed state."""
@@ -66,9 +73,10 @@ class SubensembleState:
     weight: float = None  # type: ignore[assignment]  # derived from the trace
 
     def __post_init__(self):
-        m = freeze(np.asarray(self.matrix, dtype=complex))
+        m = _as_sealed(self.matrix)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "weight", max(0.0, float(np.trace(m).real)))
+        # the bits of np.trace without its dispatch
+        object.__setattr__(self, "weight", max(0.0, float(m.trace().real)))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -86,12 +94,24 @@ def state_matrix(z) -> np.ndarray:
 
 
 def from_pure(v) -> DensityOperator:
-    """Rank-1 state vv*/|v|^2 from a (not necessarily normalized) vector."""
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    n2 = float(np.vdot(vec, vec).real)
-    if n2 <= 0.0:
+    """Rank-1 state vv*/|v|^2 from a (not necessarily normalized) vector.
+
+    A NaN or inf entry is a BadArgument.  The vector is read as one
+    contiguous array and scaled by the power of two that brings its
+    largest component into [1/2, 1), so |v|^2 neither overflows nor
+    underflows.  Such a scale is exact: where the unscaled form neither
+    overflows nor underflows, the state has its bits.
+    """
+    vec = np.asarray(v, dtype=complex).ravel()
+    parts = vec.view(np.float64)  # real and imaginary parts, side by side
+    if not np.isfinite(parts).all():
+        raise BadArgument("state vector contains non-finite entries")
+    peak = np.abs(parts).max(initial=0.0)
+    if peak == 0.0:
         raise ZeroVector("cannot build a state from the zero vector")
-    return DensityOperator(np.outer(vec, vec.conj()) / n2)
+    vec = np.ldexp(parts, -int(np.frexp(peak)[1])).view(complex)
+    n2 = float(np.vdot(vec, vec).real)
+    return DensityOperator(_sealed(np.outer(vec, vec.conj()) / n2))
 
 
 def mix(pairs, tol: float = DEFAULT_TOL) -> DensityOperator:
@@ -112,7 +132,7 @@ def mix(pairs, tol: float = DEFAULT_TOL) -> DensityOperator:
     out = np.zeros_like(mats[0])
     for w, m in zip(weights, mats):
         out += w * m
-    return DensityOperator(out)
+    return DensityOperator(_sealed(out))
 
 
 def random_density(dim: int, rank: int, seed) -> DensityOperator:
@@ -123,7 +143,7 @@ def random_density(dim: int, rank: int, seed) -> DensityOperator:
     """
     g = _gaussian(dim, rank, seed)
     z = g @ dagger(g)
-    return DensityOperator(z / np.trace(z).real)
+    return DensityOperator(_sealed(z / np.trace(z).real))
 
 
 def _gaussian(dim: int, rank: int, seed) -> np.ndarray:

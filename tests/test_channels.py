@@ -1,6 +1,7 @@
 """Measurement channels: Born weights, both update rules, theta families."""
 
 import gc
+import re
 import tracemalloc
 import warnings
 
@@ -31,7 +32,7 @@ from qmeasure.errors import (
 )
 from qmeasure.linalg import dagger, max_abs, random_unitary
 from qmeasure.observables import spectral_decompose
-from qmeasure.states import from_pure, random_density, validate
+from qmeasure.states import SubensembleState, from_pure, random_density, validate
 
 
 def degenerate_observable(spectrum, seed):
@@ -161,11 +162,30 @@ class TestNormalize:
             sel = lueders_select(obs, k, z)
             tr = float(np.trace(sel.matrix).real)
             assert np.array_equal(normalize(sel).matrix, sel.matrix / tr)
+        # a kept branch reads its weight, read once from its trace, as the
+        # trace: the bits of m * (1 / trace), for a theta branch and a bare array too
+        fam = rotated_theta_family(obs, dim)
+        for k in range(obs.outcome_count):
+            for sel in (lueders_select(obs, k, z), theta_select(fam, k, z)):
+                expected = sel.matrix * (1.0 / float(np.trace(sel.matrix).real))
+                assert np.array_equal(normalize(sel).matrix, expected)
+                assert np.array_equal(normalize(np.array(sel.matrix)).matrix, expected)
 
     def test_zero_branch_raises(self):
         z = from_pure([1.0, 0.0, 0.0])
         with pytest.raises(ImpossibleOutcome):
             normalize(lueders_select(OBS225, 1, z))
+
+    def test_negative_trace_below_floor_is_named_with_its_sign(self):
+        # the weight of this branch is floored at 0; the message reads the
+        # signed trace, not the weight
+        sel = SubensembleState(np.diag([-3e-17, 1e-17]).astype(complex))
+        assert sel.weight == 0.0
+        tr = float(np.trace(sel.matrix).real)
+        assert tr < 0.0
+        with pytest.raises(ImpossibleOutcome, match=re.escape(f"branch weight {tr!r} is below")):
+            normalize(sel)
+
 
     def test_floor_default(self):
         assert WEIGHT_FLOOR == 1e-12
@@ -424,6 +444,10 @@ def test_direct_theta_family_refuses_non_finite_targets(entry, outcome):
     # selected state
     targets = [np.array(b) for b in OBS225.basis]
     targets[outcome][0, 0] = entry
+    with pytest.raises(BadBasis, match=f"outcome {outcome}: target block contains non-finite entries"):
+        ThetaFamily(OBS225, tuple(targets))
+    # a sealed complex block is taken without a copy, and is still checked
+    targets[outcome].flags.writeable = False
     with pytest.raises(BadBasis, match=f"outcome {outcome}: target block contains non-finite entries"):
         ThetaFamily(OBS225, tuple(targets))
 

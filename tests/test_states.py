@@ -7,6 +7,7 @@ import pytest
 
 from qmeasure import states
 from qmeasure.errors import (
+    BadArgument,
     DimMismatch,
     NoConvergence,
     NotHermitian,
@@ -48,6 +49,22 @@ def test_from_pure_complex_phase():
 def test_from_pure_rejects_zero():
     with pytest.raises(ZeroVector):
         from_pure([0.0, 0.0])
+
+
+def test_from_pure_does_not_overflow():
+    # |v|^2 = 2e400 is inf in double; the power-of-two scale keeps it finite
+    np.testing.assert_array_equal(from_pure([1e200, 1e200]).matrix, np.full((2, 2), 0.5))
+
+
+def test_from_pure_does_not_underflow():
+    # |v|^2 = 2e-400 is 0 in double, but the vector is not zero
+    np.testing.assert_array_equal(from_pure([1e-200, 1e-200]).matrix, np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_from_pure_refuses_non_finite_entries(entry):
+    with pytest.raises(BadArgument, match="non-finite"):
+        from_pure([entry, 1.0])
 
 
 def test_mix_convex():
@@ -170,6 +187,22 @@ def test_subensemble_weight_is_trace():
     part = SubensembleState(np.diag([0.25, 0.15, 0.0]))
     assert part.weight == pytest.approx(0.4)
     assert part.dim == 3
+
+
+def test_sealed_complex_arrays_are_taken_as_they_are():
+    # the one trust rule: a sealed complex ndarray is kept without a copy;
+    # a caller's writeable array is copied and frozen, anything else coerced
+    sealed = np.eye(2, dtype=complex) / 2.0
+    sealed.flags.writeable = False
+    for wrap in (DensityOperator, SubensembleState):
+        assert wrap(sealed).matrix is sealed
+        writeable = np.eye(2, dtype=complex) / 2.0
+        kept = wrap(writeable).matrix
+        assert kept is not writeable and not kept.flags.writeable
+        writeable[0, 0] = 9.0
+        assert kept[0, 0] == 0.5
+        real = wrap(np.eye(2) / 2.0).matrix
+        assert real.dtype == complex and not real.flags.writeable
 
 
 def test_density_operator_is_frozen():
