@@ -186,7 +186,6 @@ class TestNormalize:
         with pytest.raises(ImpossibleOutcome, match=re.escape(f"branch weight {tr!r} is below")):
             normalize(sel)
 
-
     def test_floor_default(self):
         assert WEIGHT_FLOOR == 1e-12
 
