@@ -337,11 +337,7 @@ def _haar_blocks(sizes, rng: "np.random.Generator") -> list:
     draws = rng.standard_normal(start[-1])
     out = [None] * (len(start) - 1)
     for m, idx in _groups(sizes).items():
-        if idx[-1] - idx[0] == len(idx) - 1:
-            # consecutive outcomes (every simple spectrum): one view of the draw
-            x = draws[start[idx[0]] : start[idx[-1] + 1]].reshape(-1, 2, m, m)
-        else:
-            x = np.stack([draws[start[i] : start[i + 1]] for i in idx]).reshape(-1, 2, m, m)
+        x = np.stack([draws[start[i] : start[i + 1]] for i in idx]).reshape(-1, 2, m, m)
         g = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
         if m == 1:
             # a Haar phase without a QR, from the same draws

@@ -162,8 +162,8 @@ class TestNormalize:
             sel = lueders_select(obs, k, z)
             tr = float(np.trace(sel.matrix).real)
             assert np.array_equal(normalize(sel).matrix, sel.matrix / tr)
-        # a kept branch reads its weight, read once from its trace, as the
-        # trace: the bits of m * (1 / trace), for a theta branch and a bare array too
+        # a kept branch gives the bits of m * (1 / trace), for a theta
+        # branch and a bare array too
         fam = rotated_theta_family(obs, dim)
         for k in range(obs.outcome_count):
             for sel in (lueders_select(obs, k, z), theta_select(fam, k, z)):

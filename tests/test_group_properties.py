@@ -107,8 +107,8 @@ def test_random_families_pass_the_content_check(case):
 
 @PROPERTY
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=10), st.integers(0, 2**32 - 1))
-@example([1] * 8, 0)  # one group of consecutive outcomes: a view of the draw
-@example([1, 2, 1], 0)  # an interleaved group: stacked slices
+@example([1] * 8, 0)  # one group of consecutive outcomes
+@example([1, 2, 1], 0)  # an interleaved group
 def test_haar_blocks_match_one_unitary_at_a_time(sizes, seed):
     # every list mixes sizes and has a repeat and a rank-one block
     sizes = sizes + [1, sizes[0]]
